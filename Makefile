@@ -8,7 +8,7 @@ GO ?= go
 # fleet snapshots) so the repo root stays clean; it is git-ignored wholesale.
 BUILD_DIR ?= build
 
-.PHONY: verify vet race check bench bench-obs bench-energy bench-fleet bench-int8 bench-json bench-smoke bench-diff smoke-report search-resume-smoke
+.PHONY: verify vet race check fuzz-smoke bench bench-obs bench-energy bench-fleet bench-int8 bench-json bench-smoke bench-diff smoke-report search-resume-smoke
 
 verify:
 	$(GO) build ./...
@@ -21,6 +21,18 @@ race:
 	$(GO) test -race ./internal/obs/... ./internal/obs/energy/... ./internal/obs/fleetobs/... ./internal/obs/report/... ./internal/evo/... ./internal/enas/... ./internal/munas/... ./internal/harvnet/... ./internal/nas/... ./internal/compute/... ./internal/nn/... ./internal/serve/... ./internal/sim/... ./internal/firmware/...
 
 check: verify vet race
+
+# fuzz-smoke explores every fuzz target for a few seconds beyond its
+# committed seed corpus (plain `go test` only replays the seeds). -fuzz
+# takes one target per run, hence one invocation each.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzPlan$$' -fuzztime=5s ./internal/nn
+	$(GO) test -run='^$$' -fuzz='^FuzzLoadModel$$' -fuzztime=5s ./internal/nn
+	$(GO) test -run='^$$' -fuzz='^FuzzReadCandidate$$' -fuzztime=5s ./internal/nas
+	$(GO) test -run='^$$' -fuzz='^FuzzReadResult$$' -fuzztime=5s ./internal/nas
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeCheckpoint$$' -fuzztime=5s ./internal/evo
+	$(GO) test -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=5s ./internal/powertrace
+	$(GO) test -run='^$$' -fuzz='^FuzzQueueOrdering$$' -fuzztime=5s ./internal/sim
 
 # bench regenerates every paper table/figure through the benchmark harness.
 bench:

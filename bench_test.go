@@ -329,8 +329,8 @@ func BenchmarkSearchTelemetryOn(b *testing.B) {
 // regime where aging evolution hits the same fingerprints repeatedly): the
 // same seeded search serial vs parallel, cache off vs on. The golden tests
 // pin that the variants return the identical Outcome, so the spread here is
-// pure wall-clock — a memo hit skips both the constraint-check network
-// build and the evaluator.
+// pure wall-clock — a memo hit skips both the constraint-check plan and
+// the evaluator.
 func BenchmarkSurrogateSearchCached(b *testing.B) {
 	run := func(workers int, cache bool) func(*testing.B) {
 		return func(b *testing.B) {

@@ -186,8 +186,12 @@ func run(search bool, out, qout, header string, n, epochs, wbits, abits int, see
 	profile := mcu.NRF52840()
 	coeff := energymodel.DefaultCoefficients()
 	es := energymodel.GestureSensingTrue(profile, cand.Gesture)
-	em := coeff.TrueEnergy(reloaded.MACsByKind())
-	ram := reloaded.MemoryBytes(wbits, abits)
+	plan, err := nn.Plan(cand.Arch)
+	if err != nil {
+		return err
+	}
+	em := coeff.TrueEnergy(plan.MACsByKind())
+	ram := plan.MemoryBytes(wbits, abits)
 	fmt.Printf("deployment: RAM %d B, E_S %.0f µJ + E_M %.0f µJ = %.0f µJ per inference\n",
 		ram, es*1e6, em*1e6, (es+em)*1e6)
 	h := harvest.New()

@@ -126,7 +126,7 @@ func TestIntegrationDeployAndRedeploy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, reloaded, err := nn.LoadModel(rf)
+	rarch, reloaded, err := nn.LoadModel(rf)
 	rf.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +146,11 @@ func TestIntegrationDeployAndRedeploy(t *testing.T) {
 
 	// Run the deployed model through a day in the lifetime simulator.
 	cfg := firmware.DefaultConfig()
-	cfg.InferMACs = reloaded.MACsByKind()
+	plan, err := nn.Plan(rarch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.InferMACs = plan.MACsByKind()
 	cfg.Lux = firmware.OfficeDay(500)
 	sim, err := firmware.New(cfg)
 	if err != nil {

@@ -86,6 +86,10 @@ func DTWBaseline(seed int64) (*BaselineResult, error) {
 		},
 		Classes: dataset.NumGestureClasses,
 	}
+	plan, err := nn.Plan(arch)
+	if err != nil {
+		return nil, err
+	}
 	net, err := arch.Build()
 	if err != nil {
 		return nil, err
@@ -93,7 +97,7 @@ func DTWBaseline(seed int64) (*BaselineResult, error) {
 	net.Init(rand.New(rand.NewSource(seed)))
 	net.Fit(trX, trY, nn.TrainConfig{Epochs: 8, BatchSize: 16, LR: 0.03, Momentum: 0.9, Seed: seed, Compute: computeCtx()})
 	res.CNNAccuracy = net.Accuracy(teX, teY)
-	res.CNNMACs = net.TotalMACs()
-	res.CNNInferJ = energymodel.DefaultCoefficients().TrueEnergy(net.MACsByKind())
+	res.CNNMACs = plan.TotalMACs
+	res.CNNInferJ = energymodel.DefaultCoefficients().TrueEnergy(plan.MACsByKind())
 	return res, nil
 }

@@ -74,7 +74,7 @@ func (c *Candidate) InputShape() []int {
 }
 
 // Rebind updates the architecture's input shape from the sensing
-// configuration and reports whether the architecture still materializes.
+// configuration and reports whether the architecture still plans.
 func (c *Candidate) Rebind() error {
 	c.Arch.Input = c.InputShape()
 	c.Arch.Classes = c.Task.Classes()
@@ -83,19 +83,27 @@ func (c *Candidate) Rebind() error {
 
 // Validate checks both halves of the candidate.
 func (c *Candidate) Validate() error {
+	_, err := c.plan()
+	return err
+}
+
+// plan is Validate returning the rebound architecture's plan.
+func (c *Candidate) plan() (*nn.ArchPlan, error) {
 	switch c.Task {
 	case TaskGesture:
 		if err := c.Gesture.Validate(); err != nil {
-			return err
+			return nil, err
 		}
 	case TaskKWS:
 		if err := c.Audio.Validate(); err != nil {
-			return err
+			return nil, err
 		}
 	default:
-		return fmt.Errorf("nas: unknown task %d", c.Task)
+		return nil, fmt.Errorf("nas: unknown task %d", c.Task)
 	}
-	return c.Rebind()
+	c.Arch.Input = c.InputShape()
+	c.Arch.Classes = c.Task.Classes()
+	return nn.Plan(c.Arch)
 }
 
 // SensingString renders the sensing half compactly.

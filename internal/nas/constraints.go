@@ -2,6 +2,8 @@ package nas
 
 import (
 	"fmt"
+
+	"solarml/internal/nn"
 )
 
 // Constraints are the hard limits every candidate must satisfy (§V-D: 100 KB
@@ -27,37 +29,23 @@ func DefaultConstraints(task Task) Constraints {
 	return c
 }
 
-// weightBits returns the storage width per weight for the candidate's
-// quantization configuration (KWS models store int8 weights as in μNAS).
-func weightBits(c *Candidate) int {
-	if c.Task == TaskGesture {
-		return c.Gesture.Quant.Bits
-	}
-	return 8
-}
-
 // CheckStatic verifies the structural constraints (memory, MACs) that can
-// be checked without training.
+// be checked without training, from the architecture's plan alone.
 func (ct Constraints) CheckStatic(c *Candidate) error {
-	// Arithmetic pre-screen: reject absurd parameter counts before any
-	// tensor is allocated.
-	if est, err := c.Arch.EstimateParams(); err != nil {
-		return err
-	} else if est > ct.MemoryBytes*8 { // even bit-packed weights cannot fit
-		return fmt.Errorf("nas: %d parameters cannot fit %d B", est, ct.MemoryBytes)
-	}
-	net, err := c.Arch.Build()
+	p, err := nn.Plan(c.Arch)
 	if err != nil {
 		return err
 	}
-	if macs := net.TotalMACs(); macs > ct.MaxMACs {
-		return fmt.Errorf("nas: %d MACs exceeds limit %d", macs, ct.MaxMACs)
+	if p.TotalMACs > ct.MaxMACs {
+		return fmt.Errorf("nas: %d MACs exceeds limit %d", p.TotalMACs, ct.MaxMACs)
 	}
-	wb := weightBits(c)
-	if wb < 8 {
-		wb = 8 // sub-byte weights are stored byte-packed on the MCU
+	// KWS models store int8 weights as in μNAS; sub-byte gesture weights
+	// are stored byte-packed on the MCU.
+	wb := 8
+	if c.Task == TaskGesture {
+		wb = max(c.Gesture.Quant.Bits, 8)
 	}
-	if mem := net.MemoryBytes(wb, 8); mem > ct.MemoryBytes {
+	if mem := p.MemoryBytes(wb, 8); mem > ct.MemoryBytes {
 		return fmt.Errorf("nas: %d B memory exceeds limit %d", mem, ct.MemoryBytes)
 	}
 	return nil

@@ -123,11 +123,11 @@ func CalibrateEnergy(space *Space, nMeasure int, layerwise, withSensing bool, se
 	var audioSamples []energymodel.AudioSample
 	for i := 0; i < nMeasure; i++ {
 		c := space.RandomCandidate(rng)
-		net, err := c.Arch.Build()
+		p, err := nn.Plan(c.Arch)
 		if err != nil {
 			return nil, err
 		}
-		macs := net.MACsByKind()
+		macs := p.MACsByKind()
 		inferSamples = append(inferSamples, energymodel.InferenceSample{
 			MACs: macs, EnergyJ: m.MeasureInference(macs),
 		})
@@ -282,7 +282,8 @@ func (e *TrainEvaluator) evaluate(c, parent *Candidate) (Result, error) {
 		obs.Str("task", c.Task.String()),
 		obs.Int64("fingerprint", int64(c.Fingerprint())),
 		obs.Bool("warm", e.WarmStart && parent != nil))
-	if err := c.Validate(); err != nil {
+	p, err := c.plan()
+	if err != nil {
 		sp.End(obs.Str("error", err.Error()))
 		return res, err
 	}
@@ -332,8 +333,8 @@ func (e *TrainEvaluator) evaluate(c, parent *Candidate) (Result, error) {
 		e.store().put(c.Fingerprint(), trainedEntry{snap: net.SnapshotParams(), sigs: paramSigs(net)})
 	}
 	res.Accuracy = net.Accuracy(data.testX, data.testY)
-	res.MACsByKind = net.MACsByKind()
-	res.TotalMACs = net.TotalMACs()
+	res.MACsByKind = p.MACsByKind()
+	res.TotalMACs = p.TotalMACs
 	if e.Energy != nil {
 		res.SensingJ = e.Energy.SensingEnergy(c)
 		res.InferJ = e.Energy.InferenceEnergy(res.MACsByKind)

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"solarml/internal/dataset"
+	"solarml/internal/nn"
 	"solarml/internal/obs"
 )
 
@@ -73,15 +74,12 @@ func (s *SurrogateEvaluator) kwsCeiling(c *Candidate) float64 {
 // Evaluate implements Evaluator.
 func (s *SurrogateEvaluator) Evaluate(c *Candidate) (Result, error) {
 	var res Result
-	if err := c.Validate(); err != nil {
-		return res, err
-	}
-	net, err := c.Arch.Build()
+	p, err := c.plan()
 	if err != nil {
 		return res, err
 	}
-	res.MACsByKind = net.MACsByKind()
-	res.TotalMACs = net.TotalMACs()
+	res.MACsByKind = p.MACsByKind()
+	res.TotalMACs = p.TotalMACs
 
 	var ceil, capScale float64
 	if c.Task == TaskGesture {
@@ -105,7 +103,8 @@ func (s *SurrogateEvaluator) Evaluate(c *Candidate) (Result, error) {
 	// Depth bonus: a second nonlinearity helps up to a point.
 	depth := 0
 	for _, spec := range c.Arch.Body {
-		if spec.Kind.String() == "Conv" || spec.Kind.String() == "DWConv" || spec.Kind.String() == "Dense" {
+		switch spec.Kind {
+		case nn.KindConv, nn.KindDWConv, nn.KindDense:
 			depth++
 		}
 	}

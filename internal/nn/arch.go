@@ -28,14 +28,8 @@ func (s LayerSpec) String() string {
 		return fmt.Sprintf("MaxPool(%d)", s.K)
 	case KindAvgPool:
 		return fmt.Sprintf("AvgPool(%d)", s.K)
-	case KindNorm:
-		return "Norm"
-	case KindReLU:
-		return "ReLU"
-	case KindFlatten:
-		return "Flatten"
 	}
-	return "?"
+	return s.Kind.String()
 }
 
 // Arch is a sequential architecture description. Build appends a Flatten and
@@ -65,155 +59,30 @@ func (a *Arch) String() string {
 	return strings.Join(parts, "→")
 }
 
-// materialize instantiates the layer for a given input shape.
-func (s LayerSpec) materialize(in []int) (Layer, error) {
-	switch s.Kind {
-	case KindConv:
-		if len(in) != 3 {
-			return nil, fmt.Errorf("nn: Conv needs 3-d input, have %v", in)
-		}
-		if convOutDim(in[1], s.K, s.Stride, s.Pad) <= 0 || convOutDim(in[2], s.K, s.Stride, s.Pad) <= 0 {
-			return nil, fmt.Errorf("nn: Conv collapses input %v (k=%d s=%d)", in, s.K, s.Stride)
-		}
-		return NewConv2D(in[0], s.Out, s.K, s.Stride, s.Pad), nil
-	case KindDWConv:
-		if len(in) != 3 {
-			return nil, fmt.Errorf("nn: DWConv needs 3-d input, have %v", in)
-		}
-		if convOutDim(in[1], s.K, s.Stride, s.Pad) <= 0 || convOutDim(in[2], s.K, s.Stride, s.Pad) <= 0 {
-			return nil, fmt.Errorf("nn: DWConv collapses input %v (k=%d s=%d)", in, s.K, s.Stride)
-		}
-		return NewDepthwiseConv2D(in[0], s.K, s.Stride, s.Pad), nil
-	case KindDense:
-		return NewDense(shapeVolume(in), s.Out), nil
-	case KindMaxPool:
-		if len(in) != 3 || in[1] < s.K || in[2] < s.K {
-			return nil, fmt.Errorf("nn: MaxPool(%d) does not fit input %v", s.K, in)
-		}
-		return NewMaxPool2D(s.K), nil
-	case KindAvgPool:
-		if len(in) != 3 || in[1] < s.K || in[2] < s.K {
-			return nil, fmt.Errorf("nn: AvgPool(%d) does not fit input %v", s.K, in)
-		}
-		return NewAvgPool2D(s.K), nil
-	case KindNorm:
-		if len(in) != 3 {
-			return nil, fmt.Errorf("nn: Norm needs 3-d input, have %v", in)
-		}
-		return NewBatchNorm(in[0]), nil
-	case KindReLU:
-		return NewReLU(), nil
-	case KindFlatten:
-		return NewFlatten(), nil
-	}
-	return nil, fmt.Errorf("nn: unknown layer kind %d", s.Kind)
-}
-
 // Build materializes the architecture into a Network with an appended
-// Flatten + Dense classifier head. Parameters are left uninitialized.
+// Flatten + Dense classifier head, one layer per Plan entry. Parameters are
+// left uninitialized.
 func (a *Arch) Build() (*Network, error) {
-	if a.Classes < 2 {
-		return nil, fmt.Errorf("nn: Arch needs ≥2 classes, have %d", a.Classes)
+	p, err := Plan(a)
+	if err != nil {
+		return nil, err
 	}
-	shape := append([]int(nil), a.Input...)
-	var layers []Layer
-	dense := false
-	for i, s := range a.Body {
-		if dense && s.Kind != KindDense && s.Kind != KindReLU {
-			return nil, fmt.Errorf("nn: layer %d (%s) after Dense must be Dense or ReLU", i, s)
-		}
-		if s.Kind == KindDense && !dense && len(shape) > 1 {
-			fl := NewFlatten()
-			layers = append(layers, fl)
-			shape = fl.OutShape(shape)
-		}
-		l, err := s.materialize(shape)
-		if err != nil {
-			return nil, fmt.Errorf("nn: layer %d: %w", i, err)
-		}
-		layers = append(layers, l)
-		shape = l.OutShape(shape)
-		if s.Kind == KindDense {
-			dense = true
-		}
-	}
-	if len(shape) > 1 {
-		fl := NewFlatten()
-		layers = append(layers, fl)
-		shape = fl.OutShape(shape)
-	}
-	layers = append(layers, NewDense(shape[0], a.Classes))
-	return NewNetwork(a.Input, layers...), nil
+	return p.build(), nil
 }
 
-// Validate reports whether the architecture materializes cleanly.
+// Validate reports whether the architecture plans cleanly.
 func (a *Arch) Validate() error {
-	_, err := a.Build()
+	_, err := Plan(a)
 	return err
 }
 
 // EstimateParams returns the trainable parameter count of the architecture
-// (including the classifier head) by pure arithmetic — no tensors are
+// (including the classifier head) from its plan — no tensors are
 // allocated, so it is safe to call on untrusted descriptions before Build.
 func (a *Arch) EstimateParams() (int64, error) {
-	shape := append([]int(nil), a.Input...)
-	var params int64
-	vol := func(s []int) int64 {
-		v := int64(1)
-		for _, d := range s {
-			v *= int64(d)
-		}
-		return v
+	p, err := Plan(a)
+	if err != nil {
+		return 0, err
 	}
-	for i, s := range a.Body {
-		switch s.Kind {
-		case KindConv:
-			if len(shape) != 3 || s.Out <= 0 || s.K <= 0 || s.Stride <= 0 || s.Pad < 0 {
-				return 0, fmt.Errorf("nn: layer %d: invalid Conv geometry", i)
-			}
-			oh := convOutDim(shape[1], s.K, s.Stride, s.Pad)
-			ow := convOutDim(shape[2], s.K, s.Stride, s.Pad)
-			if oh <= 0 || ow <= 0 {
-				return 0, fmt.Errorf("nn: layer %d: Conv collapses its input", i)
-			}
-			params += int64(s.Out)*int64(shape[0])*int64(s.K)*int64(s.K) + int64(s.Out)
-			shape = []int{s.Out, oh, ow}
-		case KindDWConv:
-			if len(shape) != 3 || s.K <= 0 || s.Stride <= 0 || s.Pad < 0 {
-				return 0, fmt.Errorf("nn: layer %d: invalid DWConv geometry", i)
-			}
-			oh := convOutDim(shape[1], s.K, s.Stride, s.Pad)
-			ow := convOutDim(shape[2], s.K, s.Stride, s.Pad)
-			if oh <= 0 || ow <= 0 {
-				return 0, fmt.Errorf("nn: layer %d: DWConv collapses its input", i)
-			}
-			params += int64(shape[0])*int64(s.K)*int64(s.K) + int64(shape[0])
-			shape = []int{shape[0], oh, ow}
-		case KindDense:
-			if s.Out <= 0 {
-				return 0, fmt.Errorf("nn: layer %d: invalid Dense width", i)
-			}
-			params += vol(shape)*int64(s.Out) + int64(s.Out)
-			shape = []int{s.Out}
-		case KindMaxPool, KindAvgPool:
-			if len(shape) != 3 || s.K <= 0 || shape[1] < s.K || shape[2] < s.K {
-				return 0, fmt.Errorf("nn: layer %d: pool does not fit", i)
-			}
-			shape = []int{shape[0], shape[1] / s.K, shape[2] / s.K}
-		case KindNorm:
-			if len(shape) != 3 {
-				return 0, fmt.Errorf("nn: layer %d: Norm needs 3-d input", i)
-			}
-			params += 2 * int64(shape[0])
-		case KindReLU, KindFlatten, KindDropout:
-			// shape-preserving (Flatten changes rank, volume unchanged)
-		default:
-			return 0, fmt.Errorf("nn: layer %d: unknown kind %d", i, s.Kind)
-		}
-		if params < 0 || params > 1<<40 {
-			return 0, fmt.Errorf("nn: parameter count overflow at layer %d", i)
-		}
-	}
-	params += vol(shape)*int64(a.Classes) + int64(a.Classes)
-	return params, nil
+	return p.Params, nil
 }

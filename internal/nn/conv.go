@@ -66,12 +66,13 @@ func (c *Conv2D) OutShape(in []int) []int {
 	if len(in) != 3 || in[0] != c.InC {
 		panic(fmt.Sprintf("nn: Conv2D expects (C=%d,H,W) input, got %v", c.InC, in))
 	}
-	oh := convOutDim(in[1], c.K, c.Stride, c.Pad)
-	ow := convOutDim(in[2], c.K, c.Stride, c.Pad)
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("nn: Conv2D output collapsed for input %v kernel %d stride %d", in, c.K, c.Stride))
-	}
-	return []int{c.OutC, oh, ow}
+	out, _ := c.spec().mustGeometry(in)
+	return out
+}
+
+// spec describes the layer for the shared geometry formulas.
+func (c *Conv2D) spec() LayerSpec {
+	return LayerSpec{Kind: KindConv, Out: c.OutC, K: c.K, Stride: c.Stride, Pad: c.Pad}
 }
 
 // Init applies He-uniform initialization.
@@ -272,9 +273,8 @@ func (c *Conv2D) Params() []*Param { return []*Param{c.W, c.B} }
 
 // MACs implements Layer: OutC·OH·OW·InC·K² per sample.
 func (c *Conv2D) MACs(in []int) int64 {
-	oh := convOutDim(in[1], c.K, c.Stride, c.Pad)
-	ow := convOutDim(in[2], c.K, c.Stride, c.Pad)
-	return int64(c.OutC) * int64(oh) * int64(ow) * int64(c.InC) * int64(c.K) * int64(c.K)
+	_, macs := c.spec().mustGeometry(in)
+	return macs
 }
 
 // DepthwiseConv2D convolves each channel with its own K×K filter.
@@ -320,12 +320,13 @@ func (c *DepthwiseConv2D) OutShape(in []int) []int {
 	if len(in) != 3 || in[0] != c.C {
 		panic(fmt.Sprintf("nn: DWConv expects (C=%d,H,W) input, got %v", c.C, in))
 	}
-	oh := convOutDim(in[1], c.K, c.Stride, c.Pad)
-	ow := convOutDim(in[2], c.K, c.Stride, c.Pad)
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("nn: DWConv output collapsed for input %v", in))
-	}
-	return []int{c.C, oh, ow}
+	out, _ := c.spec().mustGeometry(in)
+	return out
+}
+
+// spec describes the layer for the shared geometry formulas.
+func (c *DepthwiseConv2D) spec() LayerSpec {
+	return LayerSpec{Kind: KindDWConv, K: c.K, Stride: c.Stride, Pad: c.Pad}
 }
 
 // Init applies He-uniform initialization.
@@ -446,7 +447,6 @@ func (c *DepthwiseConv2D) Params() []*Param { return []*Param{c.W, c.B} }
 
 // MACs implements Layer: C·OH·OW·K² per sample.
 func (c *DepthwiseConv2D) MACs(in []int) int64 {
-	oh := convOutDim(in[1], c.K, c.Stride, c.Pad)
-	ow := convOutDim(in[2], c.K, c.Stride, c.Pad)
-	return int64(c.C) * int64(oh) * int64(ow) * int64(c.K) * int64(c.K)
+	_, macs := c.spec().mustGeometry(in)
+	return macs
 }

@@ -107,4 +107,7 @@ func (d *Dense) biasGradRange(j0, j1 int) {
 func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 
 // MACs implements Layer: In×Out multiply-accumulates per sample.
-func (d *Dense) MACs(in []int) int64 { return int64(d.In) * int64(d.Out) }
+func (d *Dense) MACs(in []int) int64 {
+	_, macs := LayerSpec{Kind: KindDense, Out: d.Out}.mustGeometry(in)
+	return macs
+}

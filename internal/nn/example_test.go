@@ -8,8 +8,9 @@ import (
 	"solarml/internal/tensor"
 )
 
-// ExampleArch_Build shows how architectures are described as data, built
-// into networks, and accounted for — the workflow the NAS drives.
+// ExampleArch_Build shows how architectures are described as data and
+// accounted for by their plan before Build allocates a single tensor — the
+// workflow the NAS drives.
 func ExampleArch_Build() {
 	arch := &nn.Arch{
 		Input: []int{1, 8, 8},
@@ -20,13 +21,13 @@ func ExampleArch_Build() {
 		},
 		Classes: 10,
 	}
-	net, err := arch.Build()
+	plan, err := nn.Plan(arch)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("total MACs:", net.TotalMACs())
-	fmt.Println("conv MACs: ", net.MACsByKind()[nn.KindConv])
-	fmt.Println("RAM (int8):", net.MemoryBytes(8, 8), "bytes")
+	fmt.Println("total MACs:", plan.TotalMACs)
+	fmt.Println("conv MACs: ", plan.MACsByKind()[nn.KindConv])
+	fmt.Println("RAM (int8):", plan.MemoryBytes(8, 8), "bytes")
 	// Output:
 	// total MACs: 3200
 	// conv MACs:  2304

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 
@@ -33,16 +34,16 @@ type MultiExitNetwork struct {
 	loss lossScratch
 	clip gradClipper
 
-	stageOut []([]int) // per-stage output shape (per sample)
+	// exitMACs[k] is the per-sample MAC breakdown of leaving through exit
+	// k: every stage up to and including k, plus k's head.
+	exitMACs []map[LayerKind]int64
 }
 
 // NewMultiExit splits arch.Body after the given body indices (each index
 // is the last layer of a stage; the remainder forms the final stage) and
-// attaches a classifier head to every stage.
+// attaches a classifier head to every stage. Stage layers, shapes and exit
+// costs come from the architecture's Plan.
 func NewMultiExit(arch *Arch, exitAfter []int) (*MultiExitNetwork, error) {
-	if arch.Classes < 2 {
-		return nil, fmt.Errorf("nn: multi-exit needs ≥2 classes")
-	}
 	for i := 1; i < len(exitAfter); i++ {
 		if exitAfter[i] <= exitAfter[i-1] {
 			return nil, fmt.Errorf("nn: exit indices must be strictly increasing")
@@ -51,27 +52,34 @@ func NewMultiExit(arch *Arch, exitAfter []int) (*MultiExitNetwork, error) {
 	if len(exitAfter) > 0 && (exitAfter[0] < 0 || exitAfter[len(exitAfter)-1] >= len(arch.Body)-1) {
 		return nil, fmt.Errorf("nn: exit indices must fall inside the body")
 	}
+	p, err := Plan(arch)
+	if err != nil {
+		return nil, err
+	}
 	m := &MultiExitNetwork{
 		InShape: append([]int(nil), arch.Input...),
 		Classes: arch.Classes,
 	}
-	shape := append([]int(nil), arch.Input...)
-	start := 0
-	bounds := append(append([]int(nil), exitAfter...), len(arch.Body)-1)
-	for _, end := range bounds {
+	shape := arch.Input
+	backbone := make(map[LayerKind]int64)
+	li := 0
+	for _, end := range append(append([]int(nil), exitAfter...), len(arch.Body)-1) {
 		var stage []Layer
-		for bi := start; bi <= end; bi++ {
-			l, err := arch.Body[bi].materialize(shape)
-			if err != nil {
-				return nil, fmt.Errorf("nn: stage layer %d: %w", bi, err)
-			}
-			stage = append(stage, l)
-			shape = l.OutShape(shape)
+		for ; p.Layers[li].Body <= end; li++ {
+			l := &p.Layers[li]
+			stage = append(stage, l.layer())
+			backbone[l.Spec.Kind] += l.MACs
+			shape = l.Out
 		}
+		_, _, headMACs, err := LayerSpec{Kind: KindDense, Out: arch.Classes}.geometry(shape)
+		if err != nil {
+			return nil, fmt.Errorf("nn: exit %d head: %w", len(m.Exits), err)
+		}
+		macs := maps.Clone(backbone)
+		macs[KindDense] += headMACs
 		m.Stages = append(m.Stages, stage)
-		m.stageOut = append(m.stageOut, append([]int(nil), shape...))
 		m.Exits = append(m.Exits, NewDense(shapeVolume(shape), arch.Classes))
-		start = end + 1
+		m.exitMACs = append(m.exitMACs, macs)
 	}
 	return m, nil
 }
@@ -143,29 +151,15 @@ func (m *MultiExitNetwork) NumExits() int { return len(m.Exits) }
 // k: all stages up to and including k, plus k's head.
 func (m *MultiExitNetwork) MACsThroughExit(k int) int64 {
 	var macs int64
-	shape := m.InShape
-	for s := 0; s <= k; s++ {
-		for _, l := range m.Stages[s] {
-			macs += l.MACs(shape)
-			shape = l.OutShape(shape)
-		}
+	for _, v := range m.exitMACs[k] {
+		macs += v
 	}
-	macs += m.Exits[k].MACs([]int{shapeVolume(m.stageOut[k])})
 	return macs
 }
 
 // MACsByKindThroughExit returns the per-kind breakdown for energy models.
 func (m *MultiExitNetwork) MACsByKindThroughExit(k int) map[LayerKind]int64 {
-	out := make(map[LayerKind]int64)
-	shape := m.InShape
-	for s := 0; s <= k; s++ {
-		for _, l := range m.Stages[s] {
-			out[l.Kind()] += l.MACs(shape)
-			shape = l.OutShape(shape)
-		}
-	}
-	out[KindDense] += m.Exits[k].MACs([]int{shapeVolume(m.stageOut[k])})
-	return out
+	return maps.Clone(m.exitMACs[k])
 }
 
 // forwardStages runs the backbone, returning each stage's output (batched).

@@ -79,15 +79,6 @@ func (n *Network) SetArena(a *Arena) {
 // Arena returns the installed step arena (nil when none is set).
 func (n *Network) Arena() *Arena { return n.arena }
 
-// OutShape returns the per-sample output shape.
-func (n *Network) OutShape() []int {
-	s := n.InShape
-	for _, l := range n.Layers {
-		s = l.OutShape(s)
-	}
-	return s
-}
-
 // Forward runs the batched input through every layer.
 func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	for _, l := range n.Layers {
@@ -119,62 +110,6 @@ func (n *Network) ZeroGrads() {
 	for _, p := range n.Params() {
 		p.Grad.Zero()
 	}
-}
-
-// MACsByKind returns per-sample MAC counts grouped by layer kind, the
-// feature vector of the paper's layer-wise inference energy model.
-func (n *Network) MACsByKind() map[LayerKind]int64 {
-	out := make(map[LayerKind]int64)
-	s := n.InShape
-	for _, l := range n.Layers {
-		out[l.Kind()] += l.MACs(s)
-		s = l.OutShape(s)
-	}
-	return out
-}
-
-// TotalMACs returns the per-sample MAC count summed over all layers,
-// the single proxy used by the μNAS/HarvNet baseline energy model.
-func (n *Network) TotalMACs() int64 {
-	var t int64
-	for _, v := range n.MACsByKind() {
-		t += v
-	}
-	return t
-}
-
-// PeakActivation returns the largest per-sample activation element count
-// across layer boundaries, a proxy for working RAM.
-func (n *Network) PeakActivation() int64 {
-	s := n.InShape
-	peak := int64(shapeVolume(s))
-	for _, l := range n.Layers {
-		s = l.OutShape(s)
-		if v := int64(shapeVolume(s)); v > peak {
-			peak = v
-		}
-	}
-	return peak
-}
-
-// MemoryBytes estimates MCU RAM: weights at weightBits plus the two largest
-// consecutive activations at activationBits (double-buffered execution).
-func (n *Network) MemoryBytes(weightBits, activationBits int) int64 {
-	wb := n.ParamCount() * int64(weightBits) / 8
-	// Two largest consecutive activation buffers.
-	s := n.InShape
-	prev := int64(shapeVolume(s))
-	var peakPair int64 = prev
-	for _, l := range n.Layers {
-		s = l.OutShape(s)
-		cur := int64(shapeVolume(s))
-		if prev+cur > peakPair {
-			peakPair = prev + cur
-		}
-		prev = cur
-	}
-	ab := peakPair * int64(activationBits) / 8
-	return wb + ab
 }
 
 // Softmax converts logits (N, K) into probabilities row by row.

@@ -78,64 +78,6 @@ func TestMACAccountingKnownValues(t *testing.T) {
 	}
 }
 
-func TestNetworkMACsByKind(t *testing.T) {
-	arch := &Arch{
-		Input: []int{1, 8, 8},
-		Body: []LayerSpec{
-			{Kind: KindConv, Out: 4, K: 3, Stride: 1, Pad: 1},
-			{Kind: KindNorm},
-			{Kind: KindReLU},
-			{Kind: KindMaxPool, K: 2},
-		},
-		Classes: 10,
-	}
-	net, err := arch.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	byKind := net.MACsByKind()
-	if byKind[KindConv] != 4*8*8*1*9 {
-		t.Fatalf("Conv MACs = %d", byKind[KindConv])
-	}
-	if byKind[KindNorm] != 2*4*8*8 {
-		t.Fatalf("Norm MACs = %d", byKind[KindNorm])
-	}
-	if byKind[KindMaxPool] != 4*4*4*4 {
-		t.Fatalf("MaxPool MACs = %d", byKind[KindMaxPool])
-	}
-	// Classifier head: Dense(4·4·4 → 10).
-	if byKind[KindDense] != 64*10 {
-		t.Fatalf("Dense MACs = %d", byKind[KindDense])
-	}
-	var sum int64
-	for _, v := range byKind {
-		sum += v
-	}
-	if net.TotalMACs() != sum {
-		t.Fatal("TotalMACs must equal the sum over kinds")
-	}
-}
-
-func TestMemoryBytesMonotonicInBits(t *testing.T) {
-	arch := &Arch{
-		Input:   []int{1, 8, 8},
-		Body:    []LayerSpec{{Kind: KindConv, Out: 4, K: 3, Stride: 1, Pad: 1}},
-		Classes: 4,
-	}
-	net, err := arch.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m8 := net.MemoryBytes(8, 8)
-	m32 := net.MemoryBytes(32, 8)
-	if m32 <= m8 {
-		t.Fatalf("wider weights must cost more RAM: %d vs %d", m32, m8)
-	}
-	if net.PeakActivation() < 4*8*8 {
-		t.Fatalf("peak activation %d too small", net.PeakActivation())
-	}
-}
-
 func TestArchBuildRejectsCollapsedShapes(t *testing.T) {
 	arch := &Arch{
 		Input: []int{1, 4, 4},

@@ -196,5 +196,6 @@ func (b *BatchNorm) Params() []*Param { return []*Param{b.Gamma, b.Beta} }
 
 // MACs implements Layer: one scale and one shift per element.
 func (b *BatchNorm) MACs(in []int) int64 {
-	return 2 * int64(shapeVolume(in))
+	_, macs := LayerSpec{Kind: KindNorm}.mustGeometry(in)
+	return macs
 }

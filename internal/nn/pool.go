@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -38,14 +37,8 @@ func (p *MaxPool2D) SetArena(a *Arena) { p.arena = a }
 
 // OutShape implements Layer.
 func (p *MaxPool2D) OutShape(in []int) []int {
-	if len(in) != 3 {
-		panic(fmt.Sprintf("nn: MaxPool expects (C,H,W), got %v", in))
-	}
-	oh, ow := in[1]/p.K, in[2]/p.K
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("nn: MaxPool output collapsed for input %v window %d", in, p.K))
-	}
-	return []int{in[0], oh, ow}
+	out, _ := LayerSpec{Kind: KindMaxPool, K: p.K}.mustGeometry(in)
+	return out
 }
 
 // Init implements Layer (no parameters).
@@ -127,8 +120,8 @@ func (p *MaxPool2D) Params() []*Param { return nil }
 // MACs implements Layer: one comparison per window element per output,
 // counted as MAC-equivalents as in the paper's layer-wise model.
 func (p *MaxPool2D) MACs(in []int) int64 {
-	oh, ow := in[1]/p.K, in[2]/p.K
-	return int64(in[0]) * int64(oh) * int64(ow) * int64(p.K) * int64(p.K)
+	_, macs := LayerSpec{Kind: KindMaxPool, K: p.K}.mustGeometry(in)
+	return macs
 }
 
 // AvgPool2D applies K×K average pooling with stride K.
@@ -158,14 +151,8 @@ func (p *AvgPool2D) SetArena(a *Arena) { p.arena = a }
 
 // OutShape implements Layer.
 func (p *AvgPool2D) OutShape(in []int) []int {
-	if len(in) != 3 {
-		panic(fmt.Sprintf("nn: AvgPool expects (C,H,W), got %v", in))
-	}
-	oh, ow := in[1]/p.K, in[2]/p.K
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("nn: AvgPool output collapsed for input %v window %d", in, p.K))
-	}
-	return []int{in[0], oh, ow}
+	out, _ := LayerSpec{Kind: KindAvgPool, K: p.K}.mustGeometry(in)
+	return out
 }
 
 // Init implements Layer (no parameters).
@@ -254,6 +241,6 @@ func (p *AvgPool2D) Params() []*Param { return nil }
 
 // MACs implements Layer: one add per window element per output.
 func (p *AvgPool2D) MACs(in []int) int64 {
-	oh, ow := in[1]/p.K, in[2]/p.K
-	return int64(in[0]) * int64(oh) * int64(ow) * int64(p.K) * int64(p.K)
+	_, macs := LayerSpec{Kind: KindAvgPool, K: p.K}.mustGeometry(in)
+	return macs
 }

@@ -10,21 +10,28 @@ import (
 	"solarml/internal/tensor"
 )
 
+// profiledArch builds to Conv → ReLU → MaxPool → Flatten → Dense(64→5).
+func profiledArch() *Arch {
+	return &Arch{Input: []int{1, 8, 8}, Body: []LayerSpec{
+		{Kind: KindConv, Out: 4, K: 3, Stride: 1, Pad: 1},
+		{Kind: KindReLU},
+		{Kind: KindMaxPool, K: 2},
+	}, Classes: 5}
+}
+
 func profiledNet() *Network {
-	return NewNetwork([]int{1, 8, 8},
-		NewConv2D(1, 4, 3, 1, 1),
-		NewReLU(),
-		NewMaxPool2D(2),
-		NewFlatten(),
-		NewDense(4*4*4, 5),
-	)
+	net, err := profiledArch().Build()
+	if err != nil {
+		panic(err)
+	}
+	return net
 }
 
 // TestForwardProfiledMatchesForward checks the profiled pass is a pure
 // observer: identical outputs, one timing per layer, and per-layer MACs
-// that re-aggregate into exactly the MACsByKind feature vector the
+// that re-aggregate into exactly the plan's MACsByKind feature vector the
 // layer-wise energy model consumes — so energy predicted from profiled
-// layers is byte-identical to energy predicted from the network.
+// layers is byte-identical to energy predicted from the architecture.
 func TestForwardProfiledMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	net := profiledNet()
@@ -55,7 +62,11 @@ func TestForwardProfiledMatchesForward(t *testing.T) {
 		}
 		byKind[lt.Kind] += lt.MACs
 	}
-	want := net.MACsByKind()
+	plan, err := Plan(profiledArch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := plan.MACsByKind()
 	for k, v := range want {
 		if byKind[k] != v {
 			t.Fatalf("profiled MACs for %s = %d, MACsByKind says %d", k, byKind[k], v)

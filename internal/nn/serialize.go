@@ -158,27 +158,21 @@ func LoadModel(r io.Reader) (*Arch, *Network, error) {
 				return nil, nil, fmt.Errorf("nn: implausible layer field %d", v)
 			}
 		}
-		if vals[0] < 0 || vals[0] >= int32(numLayerKinds) {
-			return nil, nil, fmt.Errorf("nn: unknown layer kind %d", vals[0])
-		}
 		arch.Body = append(arch.Body, LayerSpec{
 			Kind: LayerKind(vals[0]), Out: int(vals[1]), K: int(vals[2]),
 			Stride: int(vals[3]), Pad: int(vals[4]),
 		})
 	}
-	// Screen the description arithmetically before allocating anything:
-	// a corrupted file must not trigger multi-gigabyte builds.
-	est, err := arch.EstimateParams()
+	// Plan the description before allocating anything: a corrupted file
+	// must not trigger multi-gigabyte builds.
+	plan, err := Plan(arch)
 	if err != nil {
 		return nil, nil, fmt.Errorf("nn: screening architecture: %w", err)
 	}
-	if est > 1<<24 {
-		return nil, nil, fmt.Errorf("nn: implausible parameter count %d", est)
+	if plan.Params > 1<<24 {
+		return nil, nil, fmt.Errorf("nn: implausible parameter count %d", plan.Params)
 	}
-	net, err := arch.Build()
-	if err != nil {
-		return nil, nil, fmt.Errorf("nn: rebuilding architecture: %w", err)
-	}
+	net := plan.build()
 	nParams, err := readU32()
 	if err != nil {
 		return nil, nil, err
