@@ -28,6 +28,7 @@ check: verify vet race
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzPlan$$' -fuzztime=5s ./internal/nn
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadModel$$' -fuzztime=5s ./internal/nn
+	$(GO) test -run='^$$' -fuzz='^FuzzLoadInt8Model$$' -fuzztime=5s ./internal/nn
 	$(GO) test -run='^$$' -fuzz='^FuzzReadCandidate$$' -fuzztime=5s ./internal/nas
 	$(GO) test -run='^$$' -fuzz='^FuzzReadResult$$' -fuzztime=5s ./internal/nas
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeCheckpoint$$' -fuzztime=5s ./internal/evo
@@ -133,19 +134,20 @@ search-resume-smoke:
 smoke-report:
 	mkdir -p $(BUILD_DIR)
 	$(GO) run ./cmd/enas-search -pop 10 -sample 4 -cycles 20 -seed 1 -cache \
-		-trace-out smoke_run.jsonl -metrics-interval 50ms
-	$(GO) run ./cmd/obs-report -trace smoke_run.jsonl \
-		-perfetto smoke_run.perfetto.json -folded smoke_run.folded -csv smoke_run.csv \
-		| tee smoke_report.txt
-	grep -q 'enas.search' smoke_report.txt
-	grep -q 'per-phase breakdown' smoke_report.txt
+		-trace-out $(BUILD_DIR)/smoke_run.jsonl -metrics-interval 50ms
+	$(GO) run ./cmd/obs-report -trace $(BUILD_DIR)/smoke_run.jsonl \
+		-perfetto $(BUILD_DIR)/smoke_run.perfetto.json -folded $(BUILD_DIR)/smoke_run.folded \
+		-csv $(BUILD_DIR)/smoke_run.csv \
+		| tee $(BUILD_DIR)/smoke_report.txt
+	grep -q 'enas.search' $(BUILD_DIR)/smoke_report.txt
+	grep -q 'per-phase breakdown' $(BUILD_DIR)/smoke_report.txt
 	$(GO) run ./cmd/lifetime -hours 2 -seed 1 \
-		-trace-out lifetime_smoke.jsonl -metrics-interval 50ms
-	$(GO) run ./cmd/obs-report -trace lifetime_smoke.jsonl -energy -quiet \
-		-folded-energy lifetime_smoke.energy.folded \
-		| tee lifetime_energy.txt
-	grep -q 'energy accounts' lifetime_energy.txt
-	grep -q 'energy critical path' lifetime_energy.txt
+		-trace-out $(BUILD_DIR)/lifetime_smoke.jsonl -metrics-interval 50ms
+	$(GO) run ./cmd/obs-report -trace $(BUILD_DIR)/lifetime_smoke.jsonl -energy -quiet \
+		-folded-energy $(BUILD_DIR)/lifetime_smoke.energy.folded \
+		| tee $(BUILD_DIR)/lifetime_energy.txt
+	grep -q 'energy accounts' $(BUILD_DIR)/lifetime_energy.txt
+	grep -q 'energy critical path' $(BUILD_DIR)/lifetime_energy.txt
 	$(GO) build -o $(BUILD_DIR)/lifetime ./cmd/lifetime
 	$(BUILD_DIR)/lifetime -hours 2 -devices 200000 -seed 1 \
 		-pprof 127.0.0.1:9190 -fleet-csv $(BUILD_DIR)/fleet_hist.csv \

@@ -16,6 +16,7 @@ import (
 	"solarml/internal/dsp"
 	"solarml/internal/enas"
 	"solarml/internal/nas"
+	"solarml/internal/obs"
 )
 
 func main() {
@@ -44,12 +45,15 @@ func main() {
 		Seed: 42, Constraints: nas.DefaultConstraints(nas.TaskGesture),
 		Workers: 4, // candidates train in parallel
 	}
-	cfg.Verbose = func(cycle int, best enas.Entry) {
-		if cycle%4 == 0 {
+	// Progress: a dispatch-only recorder hands every enas.cycle event,
+	// which carries the running best, to a subscriber.
+	cfg.Obs = obs.NewRecorder(nil)
+	cfg.Obs.Subscribe(func(e obs.Event) {
+		if e.Kind == obs.KindEvent && e.Name == "enas.cycle" && e.Int("cycle")%4 == 0 {
 			fmt.Printf("  cycle %2d: best acc %.3f, energy %.0f µJ\n",
-				cycle, best.Res.Accuracy, best.Res.EnergyJ*1e6)
+				e.Int("cycle"), e.Float("best_acc"), e.Float("best_energy_j")*1e6)
 		}
-	}
+	})
 	fmt.Println("running eNAS with real candidate training…")
 	start := time.Now()
 	out, err := enas.Search(nas.GestureSpace(), eval, cfg)

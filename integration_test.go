@@ -116,7 +116,7 @@ func TestIntegrationDeployAndRedeploy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := nn.SaveModel(f, arch, net); err != nil {
+	if err := nn.SaveModelContainer(f, arch, net); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -126,7 +126,7 @@ func TestIntegrationDeployAndRedeploy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rarch, reloaded, err := nn.LoadModel(rf)
+	rarch, reloaded, err := nn.LoadModelContainer(rf)
 	rf.Close()
 	if err != nil {
 		t.Fatal(err)

@@ -79,12 +79,6 @@ type Config struct {
 	// the evo.cache_hits / evo.cache_misses counters. Warm-start
 	// evaluations bypass the cache.
 	Cache bool
-	// Verbose, when set, receives one line per cycle.
-	//
-	// Deprecated: Verbose is kept for compatibility and is now implemented
-	// as a subscriber on the obs event stream (it fires on every
-	// enas.cycle event); new code should set Obs and consume events.
-	Verbose func(cycle int, best Entry)
 }
 
 // DefaultConfig returns the paper's evaluation settings for a task.
@@ -141,9 +135,6 @@ type policy struct {
 	cfg        Config
 	space      *nas.Space
 	eMin, eMax float64
-	// lastBest snapshots the per-cycle best for the deprecated Verbose
-	// adapter, which fires synchronously off the enas.cycle emission.
-	lastBest Entry
 }
 
 // NewPolicy returns the eNAS search as an evo.Policy for the engine's
@@ -200,7 +191,6 @@ func (p *policy) Accepted(Entry) {}
 
 func (p *policy) Report(history []Entry) (Entry, []obs.Attr) {
 	best := bestFeasible(history, p.cfg, p.eMin, p.eMax)
-	p.lastBest = best
 	return best, []obs.Attr{
 		obs.F64("best_acc", best.Res.Accuracy),
 		obs.F64("best_energy_j", best.Res.EnergyJ),
@@ -222,26 +212,10 @@ func Search(space *nas.Space, eval nas.Evaluator, cfg Config) (*Outcome, error) 
 		cfg.SensingEvery = 20
 	}
 	pol := &policy{cfg: cfg, space: space}
-
-	// The deprecated Verbose hook rides on the obs event stream: when only
-	// Verbose is set, a dispatch-only recorder feeds it.
-	rec := cfg.Obs
-	if cfg.Verbose != nil {
-		if rec == nil {
-			rec = obs.NewRecorder(nil)
-		}
-		unsub := rec.Subscribe(func(e obs.Event) {
-			if e.Kind == obs.KindEvent && e.Name == "enas.cycle" {
-				cfg.Verbose(int(e.Int("cycle")), pol.lastBest)
-			}
-		})
-		defer unsub()
-	}
-
 	out, err := evo.Run(pol, eval, evo.Config{
 		Population: cfg.Population, SampleSize: cfg.SampleSize, Cycles: cfg.Cycles,
 		Seed: cfg.Seed, Constraints: cfg.Constraints, Workers: cfg.Workers,
-		Compute: cfg.Compute, Obs: rec, Metrics: cfg.Metrics, Cache: cfg.Cache,
+		Compute: cfg.Compute, Obs: cfg.Obs, Metrics: cfg.Metrics, Cache: cfg.Cache,
 	})
 	if err != nil {
 		return nil, err

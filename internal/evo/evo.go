@@ -23,7 +23,7 @@
 //     worker count and scheduling.
 //   - The evaluation memo (cache.go, memostore.go) is optionally backed by
 //     a persistent append-only store that shards share within a run and
-//     that Merge reconciles across runs.
+//     that later runs resume from.
 //
 // Determinism contract: the engine consumes the seeded rng only through
 // Policy.Fill, Policy.CycleScore, one rand.Perm per tournament, and

@@ -2,6 +2,7 @@ package evo
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -40,13 +41,13 @@ type MemoStats struct {
 	// Duplicates counts well-formed entries whose fingerprint was already
 	// present; the first occurrence wins (both repo evaluators are
 	// deterministic per fingerprint, so later duplicates carry the same
-	// result — keeping the first makes merges order-independent).
+	// result — keeping the first makes concatenated files order-independent).
 	Duplicates int
 }
 
-// MemoStore is the persistent, mergeable backing of the evaluation memo: an
+// MemoStore is the persistent backing of the evaluation memo: an
 // append-only JSONL file of fingerprint→Result records that island shards
-// share within a run and that separate runs reconcile with MergeMemoFiles.
+// share within a run and that later runs resume from.
 // The reader is tolerant in the obs.ScanTrace style — corrupt or truncated
 // lines are skipped and counted, never fatal — because the writer may have
 // been killed mid-line; the scope header is the one hard gate, since a memo
@@ -92,11 +93,17 @@ func OpenMemoStore(path, scope string) (*MemoStore, error) {
 		return nil, err
 	}
 	s.f, s.w = f, bufio.NewWriter(f)
-	if fresh {
-		if err := s.writeLine(memoLine{V: memoLineVersion, Kind: "header", Scope: scope}); err != nil {
-			f.Close()
-			return nil, err
-		}
+	switch {
+	case fresh:
+		err = s.writeLine(memoLine{V: memoLineVersion, Kind: "header", Scope: scope})
+	case data[len(data)-1] != '\n':
+		// A killed writer left a partial final line: terminate it, or the
+		// next append would be glued onto it and skipped on reopen.
+		_, err = f.Write([]byte{'\n'})
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
 	}
 	return s, nil
 }
@@ -184,7 +191,7 @@ func readMemoData(data []byte) (scope string, entries map[uint64]nas.Result, sta
 	sawHeader := false
 	for len(data) > 0 {
 		line := data
-		if i := indexByte(data, '\n'); i >= 0 {
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
 			line, data = data[:i], data[i+1:]
 		} else {
 			data = nil
@@ -248,86 +255,4 @@ func readMemoData(data []byte) (scope string, entries map[uint64]nas.Result, sta
 		return "", nil, stats, fmt.Errorf("not a memo file (no header line)")
 	}
 	return scope, entries, stats, nil
-}
-
-func indexByte(b []byte, c byte) int {
-	for i := range b {
-		if b[i] == c {
-			return i
-		}
-	}
-	return -1
-}
-
-// MergeMemoFiles folds the entries of the src memo files into dst,
-// reconciling across runs: scopes must agree (dst adopts the first src's
-// scope when it does not exist yet), duplicate fingerprints keep dst's
-// existing result, and tolerant reads apply to every input. Returns how
-// many entries were added to dst.
-func MergeMemoFiles(dst string, srcs ...string) (added int, err error) {
-	scope := ""
-	type srcSet struct {
-		scope   string
-		entries map[uint64]nas.Result
-	}
-	var sets []srcSet
-	for _, src := range srcs {
-		data, rerr := os.ReadFile(src)
-		if rerr != nil {
-			return added, rerr
-		}
-		sscope, entries, _, rerr := readMemoData(data)
-		if rerr != nil {
-			return added, fmt.Errorf("evo: memo %s: %w", src, rerr)
-		}
-		if scope == "" {
-			scope = sscope
-		} else if sscope != scope {
-			return added, fmt.Errorf("evo: memo %s has scope %q, want %q", src, sscope, scope)
-		}
-		sets = append(sets, srcSet{scope: sscope, entries: entries})
-	}
-	if data, rerr := os.ReadFile(dst); rerr == nil && len(data) > 0 {
-		dscope, _, _, derr := readMemoData(data)
-		if derr != nil {
-			return added, fmt.Errorf("evo: memo %s: %w", dst, derr)
-		}
-		scope = dscope
-	} else if scope == "" {
-		return 0, fmt.Errorf("evo: merge needs at least one readable input")
-	}
-	store, err := OpenMemoStore(dst, scope)
-	if err != nil {
-		return added, err
-	}
-	defer store.Close()
-	for _, set := range sets {
-		if set.scope != scope {
-			return added, fmt.Errorf("evo: memo scope %q does not match destination %q", set.scope, scope)
-		}
-		// Deterministic append order: sorted fingerprints per source.
-		fps := make([]uint64, 0, len(set.entries))
-		for fp := range set.entries {
-			fps = append(fps, fp)
-		}
-		sortUint64s(fps)
-		for _, fp := range fps {
-			if _, ok := store.known[fp]; ok {
-				continue
-			}
-			if err := store.Append(fp, set.entries[fp]); err != nil {
-				return added, err
-			}
-			added++
-		}
-	}
-	return added, nil
-}
-
-func sortUint64s(v []uint64) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }

@@ -1,6 +1,6 @@
 package evo_test
 
-// Memo-file tolerant-reader and merge pins, in the obs.ScanTrace style: a
+// Memo-file tolerant-reader pins, in the obs.ScanTrace style: a
 // killed writer's truncated tail, a corrupt line, a version-skewed entry,
 // and duplicate fingerprints must all degrade gracefully — skipped and
 // counted — while a wrong scope or a non-memo file is a hard error.
@@ -85,6 +85,36 @@ func TestMemoStoreTolerantReads(t *testing.T) {
 		}
 	})
 
+	t.Run("append after truncated tail", func(t *testing.T) {
+		// The partial line has no newline: the next append must not be
+		// glued onto it and lost on the following open.
+		path := filepath.Join(t.TempDir(), "m.memo")
+		data := memoHeader + "\n" + good + "\n" + `{"v":1,"fp":"00000000000000`
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := evo.OpenMemoStore(path, "s")
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		r := nas.Result{Accuracy: 0.6, EnergyJ: 2e-3}
+		if err := s.Append(9, r); err != nil {
+			t.Fatalf("append: %v", err)
+		}
+		s.Close()
+		s2, err := evo.OpenMemoStore(path, "s")
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		defer s2.Close()
+		if st := s2.Stats(); st.Loaded != 2 || st.Skipped != 1 {
+			t.Fatalf("stats = %+v, want 2 loaded / 1 skipped", st)
+		}
+		if got, ok := s2.Entries()[9]; !ok || !sameResult(got, r) {
+			t.Fatalf("appended entry lost after reopen: %+v (present %v)", got, ok)
+		}
+	})
+
 	t.Run("corrupt middle line", func(t *testing.T) {
 		path := writeMemoFile(t, "m.memo", memoHeader, "!!not json!!", good)
 		s, err := evo.OpenMemoStore(path, "s")
@@ -159,52 +189,4 @@ func TestMemoStoreHardErrors(t *testing.T) {
 			t.Fatal("open with an unsupported header version succeeded")
 		}
 	})
-}
-
-func TestMergeMemoFiles(t *testing.T) {
-	rA := nas.Result{Accuracy: 0.5, EnergyJ: 1e-3}
-	rB := nas.Result{Accuracy: 0.6, EnergyJ: 2e-3}
-	rB2 := nas.Result{Accuracy: 0.99, EnergyJ: 9e-3}
-	rC := nas.Result{Accuracy: 0.7, EnergyJ: 3e-3}
-
-	src1 := writeMemoFile(t, "a.memo", memoHeader, memoEntryLine(1, rA), memoEntryLine(2, rB))
-	// src2 overlaps on fp 2 (with a different result — dst's existing entry
-	// must win) and contributes fp 3 plus a corrupt tail to skip.
-	src2 := writeMemoFile(t, "b.memo", memoHeader, memoEntryLine(2, rB2), memoEntryLine(3, rC), `{"v":1,"fp":"trunc`)
-
-	dst := filepath.Join(t.TempDir(), "merged.memo")
-	added, err := evo.MergeMemoFiles(dst, src1, src2)
-	if err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	if added != 3 {
-		t.Fatalf("merge added %d entries, want 3", added)
-	}
-	s, err := evo.OpenMemoStore(dst, "s")
-	if err != nil {
-		t.Fatalf("open merged: %v", err)
-	}
-	defer s.Close()
-	got := s.Entries()
-	if len(got) != 3 {
-		t.Fatalf("merged store has %d entries, want 3", len(got))
-	}
-	if !sameResult(got[2], rB) {
-		t.Fatalf("merge overwrote fp 2 with the later result; first-wins expected")
-	}
-
-	// Merging again is idempotent.
-	added, err = evo.MergeMemoFiles(dst, src1, src2)
-	if err != nil {
-		t.Fatalf("re-merge: %v", err)
-	}
-	if added != 0 {
-		t.Fatalf("re-merge added %d entries, want 0", added)
-	}
-
-	// Scope conflicts refuse to merge.
-	other := writeMemoFile(t, "c.memo", `{"v":1,"kind":"header","scope":"different"}`, memoEntryLine(9, rA))
-	if _, err := evo.MergeMemoFiles(dst, other); err == nil {
-		t.Fatal("merge across scopes succeeded")
-	}
 }

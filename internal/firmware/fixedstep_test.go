@@ -1,0 +1,74 @@
+package firmware
+
+import (
+	"fmt"
+	"math"
+	"sort"
+)
+
+// The fixed-step integrator below is the pre-event-queue lifetime loop. It
+// is a test oracle only: the equivalence and knot tests pin the
+// event-driven Run against it, and BenchmarkFleetDeviceYearsFixedStep uses
+// it as the throughput baseline.
+
+// fixedStepRun returns a fleet per-device run on the fixed-step oracle.
+func fixedStepRun(stepS float64) deviceRun {
+	return func(s *Simulator, duration float64, eventTimes []float64) (*Stats, error) {
+		return s.RunFixedStep(duration, eventTimes, stepS)
+	}
+}
+
+// RunFixedStep simulates `duration` seconds with user interactions at the
+// given times (need not be sorted), advancing the charge ODE in fixed
+// ≤stepS chunks at midpoint illuminance (stepS ≤ 0 selects the historical
+// 60 s). This is the pre-event-queue integrator, retained as the
+// equivalence baseline the event-driven Run is pinned against and as the
+// accuracy ladder for convergence tests; new callers want Run.
+func (s *Simulator) RunFixedStep(duration float64, eventTimes []float64, stepS float64) (*Stats, error) {
+	if stepS <= 0 {
+		stepS = 60
+	}
+	times := append([]float64(nil), eventTimes...)
+	sort.Float64s(times)
+	stats := &Stats{Duration: duration, Counts: make(map[EventOutcome]int), ExitCounts: make(map[int]int)}
+	now := 0.0
+	baseCost := s.sessionCostFor(s.cfg.InferMACs)
+	session := func(durS float64) float64 {
+		h := s.charge(now, now+durS, stepS, true)
+		now += durS
+		return h
+	}
+	for _, et := range times {
+		if et < 0 || et > duration {
+			return nil, fmt.Errorf("firmware: event time %.1f outside [0, %.1f]", et, duration)
+		}
+		stats.HarvestedJ += s.charge(now, et, stepS, false)
+		now = et
+		s.interact(et, baseCost, stats, session)
+	}
+	stats.HarvestedJ += s.charge(now, duration, stepS, false)
+	stats.FinalV = s.harv.Cap.V
+	return stats, nil
+}
+
+// charge advances the harvester from t0 to t1 with the lighting profile,
+// in ≤stepS chunks at midpoint illuminance, and returns the harvested
+// energy. During a session (sensing=true) the user's hand additionally
+// shadows part of the array.
+func (s *Simulator) charge(t0, t1, stepS float64, sensing bool) float64 {
+	harvested := 0.0
+	for t := t0; t < t1; {
+		dt := math.Min(stepS, t1-t)
+		before := s.harv.Cap.Energy()
+		if sensing {
+			s.harv.ChargeShaded(s.cfg.Lux.Lux(t+dt/2), dt, 0.4, 0.8, true)
+		} else {
+			s.harv.Charge(s.cfg.Lux.Lux(t+dt/2), dt, false)
+		}
+		if gained := s.harv.Cap.Energy() - before; gained > 0 {
+			harvested += gained
+		}
+		t += dt
+	}
+	return harvested
+}

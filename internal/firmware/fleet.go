@@ -33,10 +33,6 @@ type FleetConfig struct {
 	// Results are identical for every worker count: devices are
 	// independent and aggregation runs in device order.
 	Workers int
-	// FixedStepS, when positive, runs every device on the fixed-step
-	// integrator with that step instead of the event-driven core — the
-	// accuracy/throughput baseline the fleet benchmark compares against.
-	FixedStepS float64
 	// Ledger, when set, books every device's energy on its worker's stripe
 	// of the sharded ledger (overriding Base.Energy), so fleet energy
 	// attribution costs no shared cache lines. Size it with FleetWorkers.
@@ -140,6 +136,16 @@ func fleetRng(seed int64) *rand.Rand { return rand.New(&fleetSource{s: uint64(se
 // outcome counters and energy totals in device order, so the result is
 // bit-identical for every worker count.
 func RunFleet(fc FleetConfig) (*FleetStats, error) {
+	return runFleet(fc, (*Simulator).Run)
+}
+
+// deviceRun simulates one device over the horizon with the given arrivals.
+type deviceRun func(s *Simulator, duration float64, eventTimes []float64) (*Stats, error)
+
+// runFleet is RunFleet with the per-device simulation as a parameter, so
+// tests and the fleet benchmark can drive the fixed-step oracle through
+// the same fan-out and aggregation.
+func runFleet(fc FleetConfig, run deviceRun) (*FleetStats, error) {
 	if fc.Devices <= 0 {
 		return nil, fmt.Errorf("firmware: fleet needs at least one device, got %d", fc.Devices)
 	}
@@ -170,12 +176,7 @@ func RunFleet(fc FleetConfig) (*FleetStats, error) {
 			}
 			dev.leanStats = true // the per-event log is dropped unread below
 			times := PoissonArrivals(fleetRng(fc.Seed+int64(i)), fc.DurationS, fc.MeanGapS)
-			var st *Stats
-			if fc.FixedStepS > 0 {
-				st, err = dev.RunFixedStep(fc.DurationS, times, fc.FixedStepS)
-			} else {
-				st, err = dev.Run(fc.DurationS, times)
-			}
+			st, err := run(dev, fc.DurationS, times)
 			if err != nil {
 				errs[i] = err
 				return

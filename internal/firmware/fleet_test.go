@@ -149,8 +149,7 @@ func TestRunFleetFixedStepBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc.FixedStepS = 60
-	fs, err := RunFleet(fc)
+	fs, err := runFleet(fc, fixedStepRun(60))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -330,8 +330,8 @@ func (h *Harvester) advanceRamp(t, lux0, lux1 float64) float64 {
 // form of the charge+leak ODE (no simulation steps, no state mutation).
 // Returns 0 when already at or above the target and +Inf when the target
 // is unreachable: above the VMax clamp, or beyond the steady-state level
-// p/k where leakage balances the input. SimulateTimeToVoltage is the
-// brute-force oracle this is pinned against.
+// p/k where leakage balances the input. Tests pin it against a brute-force
+// fixed-step replay.
 func (h *Harvester) TimeToVoltage(targetV, lux float64) float64 {
 	c := h.Cap
 	e0 := c.Energy()

@@ -4,8 +4,38 @@ import (
 	"math"
 	"testing"
 
+	"solarml/internal/obs"
 	"solarml/internal/obs/energy"
 )
+
+// SimulateTimeToVoltage charges from the current supercap state until the
+// target voltage is reached, in fixed steps, and returns the elapsed time.
+// Returns +Inf if charging stalls (leak ≥ input). It is the brute-force
+// oracle TimeToVoltage is pinned against; the event-driven core answers
+// the same question in closed form.
+func (h *Harvester) SimulateTimeToVoltage(targetV, lux, stepS float64) float64 {
+	if stepS <= 0 {
+		panic("harvest: non-positive step")
+	}
+	sp := h.Obs.StartSpan("harvest.replay",
+		obs.F64("target_v", targetV), obs.F64("lux", lux),
+		obs.F64("step_s", stepS), obs.F64("start_v", h.Cap.V))
+	t := 0.0
+	steps := 0
+	const maxT = 1e6
+	for h.Cap.V < targetV {
+		before := h.Cap.V
+		h.Charge(lux, stepS, false)
+		t += stepS
+		steps++
+		if h.Cap.V <= before || t > maxT {
+			sp.End(obs.Int("steps", steps), obs.Bool("stalled", true))
+			return math.Inf(1)
+		}
+	}
+	sp.End(obs.Int("steps", steps), obs.F64("elapsed_s", t), obs.F64("end_v", h.Cap.V))
+	return t
+}
 
 // fineReplay advances h by `dur` seconds at constant lux using the legacy
 // fixed-step path with a tiny step — the brute-force oracle the analytic

@@ -37,20 +37,7 @@ func AppendCandidate(b []byte, c *Candidate) []byte {
 	b = bytecodec.AppendInt(b, c.Audio.StripeMS)
 	b = bytecodec.AppendInt(b, c.Audio.DurationMS)
 	b = bytecodec.AppendInt(b, c.Audio.NumFeatures)
-	b = bytecodec.AppendInt(b, c.Arch.Classes)
-	b = bytecodec.AppendUvarint(b, uint64(len(c.Arch.Input)))
-	for _, d := range c.Arch.Input {
-		b = bytecodec.AppendInt(b, d)
-	}
-	b = bytecodec.AppendUvarint(b, uint64(len(c.Arch.Body)))
-	for _, s := range c.Arch.Body {
-		b = bytecodec.AppendInt(b, int(s.Kind))
-		b = bytecodec.AppendInt(b, s.Out)
-		b = bytecodec.AppendInt(b, s.K)
-		b = bytecodec.AppendInt(b, s.Stride)
-		b = bytecodec.AppendInt(b, s.Pad)
-	}
-	return b
+	return nn.AppendArch(b, c.Arch)
 }
 
 // ReadCandidate decodes one candidate from r.
@@ -58,7 +45,7 @@ func ReadCandidate(r *bytecodec.Reader) (*Candidate, error) {
 	if v := r.Uvarint(); r.Err() == nil && v != GenomeCodecVersion {
 		return nil, fmt.Errorf("nas: unknown genome codec version %d (have %d)", v, GenomeCodecVersion)
 	}
-	c := &Candidate{Arch: &nn.Arch{}}
+	c := &Candidate{}
 	c.Task = Task(r.Int())
 	c.Gesture = dataset.GestureConfig{
 		Channels: r.Int(), RateHz: r.Int(),
@@ -67,31 +54,11 @@ func ReadCandidate(r *bytecodec.Reader) (*Candidate, error) {
 	c.Audio = dsp.FrontEndConfig{
 		SampleRate: r.Int(), StripeMS: r.Int(), DurationMS: r.Int(), NumFeatures: r.Int(),
 	}
-	c.Arch.Classes = r.Int()
-	if n := r.Uvarint(); r.Err() == nil {
-		if n > 16 {
-			return nil, fmt.Errorf("nas: implausible input rank %d", n)
-		}
-		c.Arch.Input = make([]int, n)
-		for i := range c.Arch.Input {
-			c.Arch.Input[i] = r.Int()
-		}
-	}
-	if n := r.Uvarint(); r.Err() == nil {
-		if n > 4096 {
-			return nil, fmt.Errorf("nas: implausible body length %d", n)
-		}
-		c.Arch.Body = make([]nn.LayerSpec, n)
-		for i := range c.Arch.Body {
-			c.Arch.Body[i] = nn.LayerSpec{
-				Kind: nn.LayerKind(r.Int()), Out: r.Int(),
-				K: r.Int(), Stride: r.Int(), Pad: r.Int(),
-			}
-		}
-	}
-	if err := r.Err(); err != nil {
+	arch, err := nn.ReadArch(r)
+	if err != nil {
 		return nil, fmt.Errorf("nas: decode candidate: %w", err)
 	}
+	c.Arch = arch
 	return c, nil
 }
 

@@ -7,11 +7,15 @@ package nas
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 
 	"solarml/internal/bytecodec"
+	"solarml/internal/dataset"
+	"solarml/internal/dsp"
 	"solarml/internal/nn"
+	"solarml/internal/quant"
 )
 
 func TestCandidateCodecRoundTrip(t *testing.T) {
@@ -41,6 +45,44 @@ func TestCandidateCodecRoundTrip(t *testing.T) {
 				if again := AppendCandidate(nil, dec); !bytes.Equal(enc, again) {
 					t.Fatalf("candidate %d: re-encode differs (%d vs %d bytes)", i, len(enc), len(again))
 				}
+			}
+		})
+	}
+}
+
+// TestCandidateCodecGoldenBytes pins the genome bytes of one gesture and
+// one KWS candidate. Search checkpoints and memo files store these bytes,
+// so a codec change that alters them orphans every file already written.
+func TestCandidateCodecGoldenBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cand *Candidate
+		hex  string
+	}{
+		{"gesture", &Candidate{
+			Task:    TaskGesture,
+			Gesture: dataset.GestureConfig{Channels: 8, RateHz: 45, Quant: quant.Config{Res: quant.Int, Bits: 1}},
+			Arch: &nn.Arch{Input: []int{1, 8, 67}, Classes: 10, Body: []nn.LayerSpec{
+				{Kind: nn.KindConv, Out: 6, K: 3, Stride: 1, Pad: 1},
+				{Kind: nn.KindNorm}, {Kind: nn.KindReLU},
+				{Kind: nn.KindDense, Out: 8}, {Kind: nn.KindReLU},
+				{Kind: nn.KindDense, Out: 64}, {Kind: nn.KindReLU},
+			}},
+		}, "0100105a00020000000014030210860107000c0602020a000000000c0000000004100000000c000000000480010000000c00000000"},
+		{"kws", &Candidate{
+			Task:  TaskKWS,
+			Audio: dsp.FrontEndConfig{SampleRate: 8000, StripeMS: 19, DurationMS: 30, NumFeatures: 31},
+			Arch: &nn.Arch{Input: []int{1, 52, 31}, Classes: 10, Body: []nn.LayerSpec{
+				{Kind: nn.KindConv, Out: 24, K: 5, Stride: 1, Pad: 2},
+				{Kind: nn.KindReLU}, {Kind: nn.KindMaxPool, K: 2},
+				{Kind: nn.KindDense, Out: 8}, {Kind: nn.KindReLU},
+				{Kind: nn.KindDense, Out: 64}, {Kind: nn.KindReLU},
+			}},
+		}, "010200000000807d263c3e140302683e0700300a02040c00000000060004000004100000000c000000000480010000000c00000000"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := hex.EncodeToString(AppendCandidate(nil, tc.cand)); got != tc.hex {
+				t.Fatalf("genome bytes changed:\n got %s\nwant %s", got, tc.hex)
 			}
 		})
 	}

@@ -3,6 +3,8 @@ package nn
 import (
 	"fmt"
 	"strings"
+
+	"solarml/internal/bytecodec"
 )
 
 // LayerSpec describes one layer of an architecture as data, so the NAS can
@@ -57,6 +59,59 @@ func (a *Arch) String() string {
 	}
 	parts = append(parts, fmt.Sprintf("Head(%d)", a.Classes))
 	return strings.Join(parts, "→")
+}
+
+// AppendArch appends the binary encoding of a shared by the search genome
+// and the float model file: Classes, the input rank and dims, the body
+// length, then one (Kind, Out, K, Stride, Pad) tuple per body spec, all as
+// zig-zag varints. The bytes are a pure function of a.
+func AppendArch(b []byte, a *Arch) []byte {
+	b = bytecodec.AppendInt(b, a.Classes)
+	b = bytecodec.AppendUvarint(b, uint64(len(a.Input)))
+	for _, d := range a.Input {
+		b = bytecodec.AppendInt(b, d)
+	}
+	b = bytecodec.AppendUvarint(b, uint64(len(a.Body)))
+	for _, s := range a.Body {
+		b = bytecodec.AppendInt(b, int(s.Kind))
+		b = bytecodec.AppendInt(b, s.Out)
+		b = bytecodec.AppendInt(b, s.K)
+		b = bytecodec.AppendInt(b, s.Stride)
+		b = bytecodec.AppendInt(b, s.Pad)
+	}
+	return b
+}
+
+// ReadArch decodes one AppendArch encoding. It enforces only the framing
+// caps (rank ≤ 16, body ≤ 4096) that bound its own allocations; geometry
+// is Plan's job.
+func ReadArch(r *bytecodec.Reader) (*Arch, error) {
+	a := &Arch{Classes: r.Int()}
+	if n := r.Uvarint(); r.Err() == nil {
+		if n > 16 {
+			return nil, fmt.Errorf("nn: implausible input rank %d", n)
+		}
+		a.Input = make([]int, n)
+		for i := range a.Input {
+			a.Input[i] = r.Int()
+		}
+	}
+	if n := r.Uvarint(); r.Err() == nil {
+		if n > 4096 {
+			return nil, fmt.Errorf("nn: implausible body length %d", n)
+		}
+		a.Body = make([]LayerSpec, n)
+		for i := range a.Body {
+			a.Body[i] = LayerSpec{
+				Kind: LayerKind(r.Int()), Out: r.Int(),
+				K: r.Int(), Stride: r.Int(), Pad: r.Int(),
+			}
+		}
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	return a, nil
 }
 
 // Build materializes the architecture into a Network with an appended

@@ -360,8 +360,8 @@ func ConvertInt8(arch *Arch, net *Network, calib *tensor.Tensor, cfg PTQConfig) 
 			sCur = sOut
 		case *ReLU:
 			op.kind = opReLU // standalone (not fused): same grid, clamp at 0
-		case *Flatten, *Dropout:
-			// Memory no-ops at inference: no op emitted.
+		case *Flatten:
+			// Memory no-op at inference: no op emitted.
 			shape = outShape
 			li += consumed
 			continue
@@ -441,6 +441,12 @@ func (m *Int8Model) finalize() error {
 				return fmt.Errorf("nn: int8 model: op %d: implausible geometry %d", i, d)
 			}
 		}
+		// A kernel cap keeps the weight-length and im2col products below
+		// int overflow, so a crafted file cannot match an empty weight
+		// slice to a wrapped length.
+		if op.k > 1<<8 {
+			return fmt.Errorf("nn: int8 model: op %d: implausible kernel %d", i, op.k)
+		}
 		if op.out < 1 || op.out > 1<<24 || op.in < 1 {
 			return fmt.Errorf("nn: int8 model: op %d: implausible volume", i)
 		}
@@ -460,7 +466,12 @@ func (m *Int8Model) finalize() error {
 			if err := checkRequant(op, op.outC); err != nil {
 				return err
 			}
+			// The im2col volume never exceeds the conv's MACs, so 2^25
+			// clears every model within the 30 M MAC budget.
 			cols := op.inC * op.k * op.k * op.outH * op.outW
+			if cols > 1<<25 {
+				return fmt.Errorf("nn: int8 model: op %d: implausible im2col volume %d", i, cols)
+			}
 			if cols > m.maxCols {
 				m.maxCols = cols
 			}
@@ -614,14 +625,18 @@ func appendI8s(b []byte, v []int8) []byte {
 
 const maxCodecList = 1 << 24
 
+// The list readers size their allocation by the bytes actually left (a
+// varint is at least one byte, a float64 eight), so a corrupt count fails
+// on the first missing element instead of allocating for it.
+
 func readI32s(r *bytecodec.Reader) []int32 {
 	n := r.Uvarint()
 	if n > maxCodecList || r.Err() != nil {
 		return nil
 	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(r.Varint())
+	out := make([]int32, 0, min(n, uint64(r.Len())))
+	for i := uint64(0); i < n && r.Err() == nil; i++ {
+		out = append(out, int32(r.Varint()))
 	}
 	if r.Err() != nil {
 		return nil
@@ -634,9 +649,9 @@ func readF64s(r *bytecodec.Reader) []float64 {
 	if n > maxCodecList || r.Err() != nil {
 		return nil
 	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = r.F64()
+	out := make([]float64, 0, min(n, uint64(r.Len()/8)))
+	for i := uint64(0); i < n && r.Err() == nil; i++ {
+		out = append(out, r.F64())
 	}
 	if r.Err() != nil {
 		return nil

@@ -263,6 +263,37 @@ func TestConvertInt8Validation(t *testing.T) {
 	}
 }
 
+// TestInt8FinalizeBoundsScratch feeds finalize two crafted programs that
+// are consistent op by op yet would make the executor allocate terabytes:
+// a 65536-wide kernel whose weight-length product wraps to zero (so an
+// empty weight slice matches it), and a 256-wide kernel over a 4095×4095
+// output whose im2col volume is ~2^40. Both must be rejected at load.
+func TestInt8FinalizeBoundsScratch(t *testing.T) {
+	logits := func(in int) int8Op {
+		return int8Op{kind: opDenseLogits, inC: in, outC: 2, in: in, out: 2,
+			w: make([]int8, 2*in), deq: []float64{1, 1}, biasF: []float64{0, 0}}
+	}
+	wrapped := &Int8Model{inShape: []int{1 << 16, 1, 1}, classes: 2, wbits: 8, abits: 8, ops: []int8Op{
+		{kind: opConv, inC: 1 << 16, outC: 1 << 16, k: 1 << 16, stride: 2, pad: 1 << 15,
+			inH: 1, inW: 1, outH: 1, outW: 1, in: 1 << 16, out: 1 << 16,
+			bias: make([]int32, 1<<16), mult: []int32{1}, shift: []int32{0}},
+		logits(1 << 16),
+	}}
+	im2col := &Int8Model{inShape: []int{1, 4096, 4096}, classes: 2, wbits: 8, abits: 8, ops: []int8Op{
+		{kind: opConv, inC: 1, outC: 1, k: 256, stride: 1, pad: 127,
+			inH: 4096, inW: 4096, outH: 4095, outW: 4095, in: 4096 * 4096, out: 4095 * 4095,
+			w: make([]int8, 256*256), bias: []int32{0}, mult: []int32{1}, shift: []int32{0}},
+		{kind: opMaxPool, inC: 1, outC: 1, k: 256, inH: 4095, inW: 4095, outH: 15, outW: 15,
+			in: 4095 * 4095, out: 225},
+		logits(225),
+	}}
+	for name, m := range map[string]*Int8Model{"wrapped kernel": wrapped, "im2col volume": im2col} {
+		if err := m.finalize(); err == nil {
+			t.Errorf("%s: accepted (maxCols %d)", name, m.maxCols)
+		}
+	}
+}
+
 // TestInt8ModelRoundTrip pins the codec: decode(encode(m)) must reproduce
 // the serialized bytes and the logits exactly.
 func TestInt8ModelRoundTrip(t *testing.T) {

@@ -29,8 +29,6 @@ const (
 	KindNorm
 	KindReLU
 	KindFlatten
-	KindDropout
-	numLayerKinds
 )
 
 // String returns the canonical kind name.
@@ -52,8 +50,6 @@ func (k LayerKind) String() string {
 		return "ReLU"
 	case KindFlatten:
 		return "Flatten"
-	case KindDropout:
-		return "Dropout"
 	}
 	return "Unknown"
 }
@@ -108,7 +104,7 @@ type Layer interface {
 // ComputeUser is implemented by layers whose kernels can run on a pluggable
 // compute backend. The GEMM layers (Conv2D, DepthwiseConv2D, Dense) route
 // their matrix kernels through it, and the elementwise layers (ReLU,
-// pooling, BatchNorm, Dropout) route their loops through the context's
+// pooling, BatchNorm) route their loops through the context's
 // grain-aware ParallelFor. Network.SetCompute and TrainConfig.Compute
 // install one context on every such layer; layers with no context fall back
 // to the serial backend with fresh allocations, so the zero value of every

@@ -284,8 +284,6 @@ type TrainConfig struct {
 	// yet, Fit installs a fresh one: steady-state training steps are
 	// allocation-free by default. Results are bit-identical either way.
 	Arena *Arena
-	// Verbose, when set, receives one line per epoch.
-	Verbose func(epoch int, loss float64)
 	// Obs, when set, receives one nn.epoch event per epoch (index, mean
 	// loss, wall-clock seconds) and an nn.fit span wrapping the run.
 	Obs *obs.Recorder
@@ -457,9 +455,6 @@ func (n *Network) Fit(inputs *tensor.Tensor, labels []int, cfg TrainConfig) floa
 		if cfg.Obs.Enabled() {
 			fit.Event("nn.epoch", obs.Int("epoch", ep), obs.F64("loss", lastLoss),
 				obs.F64("seconds", time.Since(epStart).Seconds()))
-		}
-		if cfg.Verbose != nil {
-			cfg.Verbose(ep, lastLoss)
 		}
 		if cfg.Energy != nil && cfg.SampleEnergyJ > 0 {
 			cfg.Energy.ChargeSpan(&fit, energy.AccountTrain, cfg.SampleEnergyJ*float64(total))

@@ -153,7 +153,7 @@ func fuzzArch(data []byte) *nn.Arch {
 func FuzzPlan(f *testing.F) {
 	conv, dense, relu := byte(nn.KindConv), byte(nn.KindDense), byte(nn.KindReLU)
 	f.Add([]byte{3, 1, 8, 8, 3, conv, 4, 3, 1, 1, relu, 0, 0, 0, 0, byte(nn.KindMaxPool), 0, 2, 0, 0, dense, 8, 0, 0, 0, relu, 0, 0, 0, 0})
-	f.Add([]byte{3, 1, 8, 8, 3, byte(nn.KindDropout), 0, 0, 0, 0})
+	f.Add([]byte{3, 1, 8, 8, 3, byte(nn.KindFlatten) + 1, 0, 0, 0, 0}) // past the last kind
 	f.Add([]byte{3, 1, 8, 8, 3, byte(nn.KindFlatten), 0, 0, 0, 0, conv, 4, 3, 1, 0})
 	f.Add([]byte{3, 1, 8, 8, 1, relu, 0, 0, 0, 0})
 	f.Add([]byte{3, 1, 8, 8, 3, dense, 8, 0, 0, 0, byte(nn.KindNorm), 0, 0, 0, 0})

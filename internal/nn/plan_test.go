@@ -15,7 +15,8 @@ func TestPlanRejectsBadGeometry(t *testing.T) {
 		name string
 		arch *Arch
 	}{
-		{"dropout", &Arch{Input: in, Body: []LayerSpec{{Kind: KindDropout}}, Classes: 3}},
+		// Kind 8 was Dropout; genomes and model files carrying it stay rejected.
+		{"dropout", &Arch{Input: in, Body: []LayerSpec{{Kind: KindFlatten + 1}}, Classes: 3}},
 		{"conv after flatten", &Arch{Input: in, Body: []LayerSpec{{Kind: KindFlatten}, {Kind: KindConv, Out: 4, K: 3, Stride: 1}}, Classes: 3}},
 		{"one class", &Arch{Input: in, Body: []LayerSpec{{Kind: KindReLU}}, Classes: 1}},
 		{"norm after dense", &Arch{Input: in, Body: []LayerSpec{{Kind: KindDense, Out: 8}, {Kind: KindNorm}}, Classes: 3}},

@@ -2,7 +2,9 @@ package nn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"solarml/internal/tensor"
@@ -43,14 +45,25 @@ func trainedConvModel(t *testing.T) (*Arch, *Network, *tensor.Tensor, []int) {
 	return arch, net, x, y
 }
 
+// sealFloat wraps a float payload in the checksummed container, so
+// payload-level corruption reaches the decoder instead of the CRC check.
+func sealFloat(t *testing.T, payload []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := writeContainer(&buf, payloadFloat, payload); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	arch, net, x, y := trainedConvModel(t)
 	want := net.Accuracy(x, y)
 	var buf bytes.Buffer
-	if err := SaveModel(&buf, arch, net); err != nil {
+	if err := SaveModelContainer(&buf, arch, net); err != nil {
 		t.Fatal(err)
 	}
-	arch2, net2, err := LoadModel(&buf)
+	arch2, net2, err := LoadModelContainer(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,10 +82,28 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			t.Fatal("loaded model must reproduce logits bit-exactly")
 		}
 	}
+	// The int8 program lowered from the reloaded model is the same program.
+	var q1, q2 bytes.Buffer
+	for _, c := range []struct {
+		arch *Arch
+		net  *Network
+		out  *bytes.Buffer
+	}{{arch, net, &q1}, {arch2, net2, &q2}} {
+		m, err := ConvertInt8(c.arch, c.net, x, PTQConfig{WeightBits: 8, ActBits: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := SaveInt8Model(c.out, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(q1.Bytes(), q2.Bytes()) {
+		t.Fatal("reloaded model lowers to a different int8 program")
+	}
 }
 
 func TestLoadRejectsBadMagic(t *testing.T) {
-	if _, _, err := LoadModel(bytes.NewReader([]byte("XXXX1234"))); err == nil {
+	if _, _, err := LoadModelContainer(bytes.NewReader([]byte("XXXX1234"))); err == nil {
 		t.Fatal("bad magic must fail")
 	}
 }
@@ -80,27 +111,72 @@ func TestLoadRejectsBadMagic(t *testing.T) {
 func TestLoadRejectsTruncated(t *testing.T) {
 	arch, net, _, _ := trainedConvModel(t)
 	var buf bytes.Buffer
-	if err := SaveModel(&buf, arch, net); err != nil {
+	if err := SaveModelContainer(&buf, arch, net); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
 	for _, cut := range []int{3, 8, 20, len(full) / 2, len(full) - 4} {
-		if _, _, err := LoadModel(bytes.NewReader(full[:cut])); err == nil {
+		if _, _, err := LoadModelContainer(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation at %d must fail", cut)
+		}
+	}
+	// A truncated payload under a valid checksum must fail in the decoder.
+	payload := appendFloatModel(nil, arch, net)
+	for _, cut := range []int{1, 3, 8, 20, len(payload) / 2, len(payload) - 4} {
+		if _, _, err := LoadModelContainer(bytes.NewReader(sealFloat(t, payload[:cut]))); err == nil {
+			t.Fatalf("payload truncation at %d must fail", cut)
 		}
 	}
 }
 
 func TestLoadRejectsBadVersion(t *testing.T) {
 	arch, net, _, _ := trainedConvModel(t)
-	var buf bytes.Buffer
-	if err := SaveModel(&buf, arch, net); err != nil {
-		t.Fatal(err)
+	payload := appendFloatModel(nil, arch, net)
+	payload[0] = 99 // corrupt version
+	_, _, err := LoadModelContainer(bytes.NewReader(sealFloat(t, payload)))
+	if err == nil || !strings.Contains(err.Error(), "re-export") {
+		t.Fatalf("wrong version must fail with a re-export error, got %v", err)
 	}
-	data := buf.Bytes()
-	data[4] = 99 // corrupt version
-	if _, _, err := LoadModel(bytes.NewReader(data)); err == nil {
-		t.Fatal("wrong version must fail")
+}
+
+// TestLoadRejectsSMLMPayload feeds a container whose payload is the raw
+// SMLM stream older builds wrote: it must fail with the re-export error,
+// not be misparsed as the current layout.
+func TestLoadRejectsSMLMPayload(t *testing.T) {
+	le := binary.LittleEndian
+	b := []byte("SMLM")
+	for _, v := range []uint32{1, 1, 4, 2, 0, 2, 8} { // version, rank, dim, classes, body, params, W len
+		b = le.AppendUint32(b, v)
+	}
+	for i := 0; i < 8; i++ {
+		b = le.AppendUint64(b, 0)
+	}
+	b = le.AppendUint32(b, 2) // bias len
+	b = le.AppendUint64(b, 0)
+	b = le.AppendUint64(b, 0)
+	b = le.AppendUint32(b, 0) // norms
+	_, _, err := LoadModelContainer(bytes.NewReader(sealFloat(t, b)))
+	if err == nil || !strings.Contains(err.Error(), "re-export") {
+		t.Fatalf("SMLM-era payload must fail with a re-export error, got %v", err)
+	}
+}
+
+// TestLoadRejectsImplausibleArch pins the screens that run before the
+// network is allocated.
+func TestLoadRejectsImplausibleArch(t *testing.T) {
+	for name, arch := range map[string]*Arch{
+		"rank":    {Input: []int{1, 1, 1, 1, 1, 1, 1, 1, 2}, Classes: 2},
+		"dim":     {Input: []int{1 << 17}, Classes: 2},
+		"volume":  {Input: []int{1 << 13, 1 << 12}, Classes: 2},
+		"classes": {Input: []int{4}, Classes: 1 << 17},
+		"field":   {Input: []int{4}, Body: []LayerSpec{{Kind: KindDense, Out: 1 << 17}}, Classes: 2},
+		"params":  {Input: []int{1 << 12}, Body: []LayerSpec{{Kind: KindDense, Out: 1 << 13}}, Classes: 2},
+		"plan":    {Input: []int{4}, Body: []LayerSpec{{Kind: KindConv, Out: 2, K: 3, Stride: 1}}, Classes: 2},
+	} {
+		payload := AppendArch([]byte{floatModelVersion}, arch)
+		if _, _, err := LoadModelContainer(bytes.NewReader(sealFloat(t, payload))); err == nil {
+			t.Errorf("%s: implausible architecture accepted", name)
+		}
 	}
 }
 
@@ -133,10 +209,10 @@ func TestBatchNormStatsSerialized(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := SaveModel(&buf, arch, net); err != nil {
+	if err := SaveModelContainer(&buf, arch, net); err != nil {
 		t.Fatal(err)
 	}
-	_, net2, err := LoadModel(&buf)
+	_, net2, err := LoadModelContainer(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
