@@ -185,7 +185,7 @@ func readInto(r *bytecodec.Reader, dst []float64) error {
 	return nil
 }
 
-// screenArch applies the float model file's plausibility bounds, which are
+// screenArch applies the model files' plausibility bounds, which are
 // tighter than ReadArch's framing caps and cheaper than a plan.
 func screenArch(a *Arch) error {
 	if len(a.Input) > 8 {
@@ -231,11 +231,7 @@ func LoadModelContainer(r io.Reader) (*Arch, *Network, error) {
 
 // SaveInt8Model writes the quantized model in the checksummed container.
 func SaveInt8Model(w io.Writer, m *Int8Model) error {
-	payload, err := appendInt8Model(nil, m)
-	if err != nil {
-		return err
-	}
-	return writeContainer(w, payloadInt8, payload)
+	return writeContainer(w, payloadInt8, appendInt8Model(nil, m))
 }
 
 // LoadInt8Model reads a quantized model from the checksummed container —

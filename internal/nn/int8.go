@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"solarml/internal/bytecodec"
 	"solarml/internal/compute"
@@ -14,9 +15,11 @@ import (
 // Int8Model — a flat program of quantized ops whose weights are int8, whose
 // accumulators are int32, and whose layer boundaries carry precomputed
 // requantization parameters (31-bit fixed-point multiplier + shift, see
-// compute.QuantizeMultiplier). The executor over this program lives in
-// int8exec.go; the serialized form (cmd/deploy -qout → cmd/serve) is the
-// int8 payload of the SOLARMDL container.
+// compute.QuantizeMultiplier). The program's geometry is lowered from the
+// architecture's Plan, like the float network's; only the tensors are the
+// lowering's own. The executor over this program lives in int8exec.go; the
+// serialized form (cmd/deploy -qout → cmd/serve) is the int8 payload of
+// the SOLARMDL container, which stores the Arch and the tensors.
 //
 // Quantization scheme: symmetric, zero-point 0 throughout. Weights take one
 // scale per output channel (row of the GEMM), activations one scale per
@@ -43,14 +46,15 @@ const (
 	opAvgPool
 	opReLU
 	opNorm
-	numInt8Ops
 )
 
-// int8Op is one step of the quantized program. Geometry is per sample;
-// buffers carry the batch contiguously (sample-major, NCHW within).
+// int8Op is one step of the quantized program. Geometry is per sample and
+// comes from the architecture's plan (see lower); buffers carry the batch
+// contiguously (sample-major, NCHW within).
 type int8Op struct {
-	kind int8OpKind
-	relu bool // fused ReLU: requantize with a zero lower clamp
+	kind  int8OpKind
+	relu  bool // fused ReLU: requantize with a zero lower clamp
+	layer int  // plan index of the layer the op lowers
 
 	inC, outC, k, stride, pad int
 	inH, inW, outH, outW      int
@@ -58,7 +62,7 @@ type int8Op struct {
 
 	w     []int8  // quantized weights (GEMM row-major, see compute kernels)
 	bias  []int32 // accumulator-scale bias (conv/dwconv/dense)
-	mult  []int32 // requant multipliers: per channel, or len 1 broadcast
+	mult  []int32 // requant multipliers, one per channel (avgpool: one)
 	shift []int32
 	// biasPost is the post-scale affine bias of opNorm (output-scale units).
 	biasPost []int32
@@ -70,32 +74,30 @@ type int8Op struct {
 // Int8Model is a lowered, immutable quantized network: safe for concurrent
 // executors (each Int8Executor owns its scratch; the model is read-only).
 type Int8Model struct {
-	inShape []int
-	classes int
+	arch    *Arch
 	inScale float64 // input quantization scale (boundary 0)
 	wbits   int
 	abits   int
-	arch    string // human-readable provenance (Arch.String())
 	ops     []int8Op
 
-	// Per-sample scratch high-water marks, computed by finalize: the
-	// executor sizes its inference arena once from these.
+	// Per-sample scratch high-water marks, computed by lower: the executor
+	// sizes its inference arena once from these.
 	maxAct  int // largest activation volume (incl. the input)
 	maxAcc  int // largest conv accumulator volume
 	maxCols int // largest conv im2col volume
 }
 
 // InShape returns the per-sample input shape.
-func (m *Int8Model) InShape() []int { return append([]int(nil), m.inShape...) }
+func (m *Int8Model) InShape() []int { return append([]int(nil), m.arch.Input...) }
 
 // InVol returns the per-sample input volume (floats per classify instance).
-func (m *Int8Model) InVol() int { return shapeVolume(m.inShape) }
+func (m *Int8Model) InVol() int { return shapeVolume(m.arch.Input) }
 
 // Classes returns the number of output classes.
-func (m *Int8Model) Classes() int { return m.classes }
+func (m *Int8Model) Classes() int { return m.arch.Classes }
 
 // ArchString returns the source architecture description.
-func (m *Int8Model) ArchString() string { return m.arch }
+func (m *Int8Model) ArchString() string { return m.arch.String() }
 
 // Bits returns the weight and activation bit widths the model was lowered at.
 func (m *Int8Model) Bits() (wbits, abits int) { return m.wbits, m.abits }
@@ -178,21 +180,66 @@ func foldRequant(sIn, sOut float64, ws, biasF []float64) (bias, mult, shift []in
 	return bias, mult, shift
 }
 
-// isReLUAt reports whether layer li exists and is a ReLU (fusion probe).
-func isReLUAt(layers []Layer, li int) bool {
-	if li >= len(layers) {
-		return false
+// lower sets m's op program from p, the plan of m.arch: one op per planned
+// layer, except that a Flatten (a memory no-op at inference) emits none and
+// a ReLU directly after a Conv, DWConv, Norm or non-head Dense fuses into
+// that op's requant epilogue as a zero lower clamp. The head becomes
+// opDenseLogits. It also works out the executor's arena high-water marks.
+// The ops carry geometry only; the caller fills in their tensors.
+func (m *Int8Model) lower(p *ArchPlan) {
+	head := len(p.Layers) - 1
+	m.ops = make([]int8Op, 0, len(p.Layers))
+	m.maxAct, m.maxAcc, m.maxCols = shapeVolume(p.Layers[0].In), 0, 0
+	for li := 0; li <= head; li++ {
+		l := &p.Layers[li]
+		op := int8Op{layer: li, k: l.Spec.K, stride: l.Spec.Stride, pad: l.Spec.Pad,
+			in: shapeVolume(l.In), out: shapeVolume(l.Out)}
+		if len(l.In) == 3 {
+			op.inC, op.inH, op.inW = l.In[0], l.In[1], l.In[2]
+		}
+		if len(l.Out) == 3 {
+			op.outC, op.outH, op.outW = l.Out[0], l.Out[1], l.Out[2]
+		}
+		fusable := true
+		switch l.Spec.Kind {
+		case KindConv:
+			op.kind = opConv
+			m.maxAcc = max(m.maxAcc, op.out)
+			m.maxCols = max(m.maxCols, op.inC*op.k*op.k*op.outH*op.outW)
+		case KindDWConv:
+			op.kind = opDWConv
+		case KindNorm:
+			op.kind = opNorm
+		case KindDense:
+			op.kind, op.inC, op.outC = opDense, op.in, op.out
+			if li == head {
+				op.kind, fusable = opDenseLogits, false
+			}
+		case KindMaxPool:
+			op.kind, fusable = opMaxPool, false
+		case KindAvgPool:
+			op.kind, fusable = opAvgPool, false
+		case KindReLU:
+			op.kind, fusable = opReLU, false
+		case KindFlatten:
+			continue
+		}
+		if fusable && p.Layers[li+1].Spec.Kind == KindReLU {
+			op.relu = true
+			li++
+		}
+		m.maxAct = max(m.maxAct, op.in, op.out)
+		m.ops = append(m.ops, op)
 	}
-	_, ok := layers[li].(*ReLU)
-	return ok
 }
 
-// ConvertInt8 lowers a trained float network to an Int8Model at the PTQ
-// config's bit widths (both ≤ 8: the storage is int8). The network's float
-// parameters are left untouched (snapshot/restore around the internal
-// weight snapping), so the caller can still run — or destructively PTQ —
-// the float model afterwards. calib has shape (N, ...InShape) and
-// calibrates the activation grids exactly like ApplyPTQ.
+// ConvertInt8 lowers a trained float network, which must have been built
+// from arch, to an Int8Model at the PTQ config's bit widths (both ≤ 8: the
+// storage is int8). The network's float parameters are left untouched
+// (snapshot/restore around the internal weight snapping), so the caller can
+// still run — or destructively PTQ — the float model afterwards. calib has
+// shape (N, ...arch.Input) and calibrates the activation grids exactly like
+// ApplyPTQ.
 func ConvertInt8(arch *Arch, net *Network, calib *tensor.Tensor, cfg PTQConfig) (*Int8Model, error) {
 	if cfg.WeightBits < 2 || cfg.WeightBits > 8 {
 		return nil, fmt.Errorf("nn: int8 lowering needs weight bits in [2,8], have %d", cfg.WeightBits)
@@ -203,6 +250,19 @@ func ConvertInt8(arch *Arch, net *Network, calib *tensor.Tensor, cfg PTQConfig) 
 	if calib == nil || len(calib.Shape) == 0 || calib.Shape[0] < 1 {
 		return nil, fmt.Errorf("nn: int8 lowering needs a calibration batch")
 	}
+	plan, err := Plan(arch)
+	if err != nil {
+		return nil, fmt.Errorf("nn: int8 lowering: %w", err)
+	}
+	if len(net.Layers) != len(plan.Layers) || !slices.Equal(net.InShape, arch.Input) {
+		return nil, fmt.Errorf("nn: int8 lowering: network was not built from %s: %d layers on input %v, the plan has %d on %v",
+			arch, len(net.Layers), net.InShape, len(plan.Layers), arch.Input)
+	}
+	for li, l := range net.Layers {
+		if want := plan.Layers[li].Spec.Kind; l.Kind() != want {
+			return nil, fmt.Errorf("nn: int8 lowering: network was not built from %s: layer %d is %s, the plan has %s", arch, li, l.Kind(), want)
+		}
+	}
 	levelsW := int32(1)<<uint(cfg.WeightBits-1) - 1
 	levelsA := float64(int32(1)<<uint(cfg.ActBits-1) - 1)
 
@@ -211,8 +271,8 @@ func ConvertInt8(arch *Arch, net *Network, calib *tensor.Tensor, cfg PTQConfig) 
 	// every exit path.
 	snap := net.SnapshotParams()
 	defer net.RestoreParams(snap)
-	qw := make(map[int][]int8)
-	wsc := make(map[int][]float64)
+	qw := make([][]int8, len(net.Layers))
+	wsc := make([][]float64, len(net.Layers))
 	for li, l := range net.Layers {
 		switch t := l.(type) {
 		case *Conv2D:
@@ -224,7 +284,8 @@ func ConvertInt8(arch *Arch, net *Network, calib *tensor.Tensor, cfg PTQConfig) 
 		}
 	}
 
-	// Calibrate boundary maxAbs (input is boundary 0) in inference mode.
+	// Calibrate boundary maxAbs (input is boundary 0) in inference mode,
+	// checking each layer's output against its plan entry on the way.
 	maxs := make([]float64, len(net.Layers)+1)
 	total := calib.Shape[0]
 	sample := len(calib.Data) / total
@@ -234,13 +295,16 @@ func ConvertInt8(arch *Arch, net *Network, calib *tensor.Tensor, cfg PTQConfig) 
 		if end > total {
 			end = total
 		}
-		bshape := append([]int{end - start}, net.InShape...)
+		bshape := append([]int{end - start}, arch.Input...)
 		x := tensor.FromSlice(calib.Data[start*sample:end*sample], bshape...)
 		if m := x.MaxAbs(); m > maxs[0] {
 			maxs[0] = m
 		}
 		for i, l := range net.Layers {
 			x = l.Forward(x, false)
+			if !slices.Equal(x.Shape[1:], plan.Layers[i].Out) {
+				return nil, fmt.Errorf("nn: int8 lowering: network was not built from %s: layer %d outputs %v, the plan has %v", arch, i, x.Shape[1:], plan.Layers[i].Out)
+			}
 			if m := x.MaxAbs(); m > maxs[i+1] {
 				maxs[i+1] = m
 			}
@@ -251,102 +315,48 @@ func ConvertInt8(arch *Arch, net *Network, calib *tensor.Tensor, cfg PTQConfig) 
 		scales[i] = m / levelsA
 	}
 
-	m := &Int8Model{
-		inShape: append([]int(nil), net.InShape...),
-		classes: arch.Classes,
-		inScale: scales[0],
-		wbits:   cfg.WeightBits,
-		abits:   cfg.ActBits,
-		arch:    arch.String(),
-	}
+	m := &Int8Model{arch: arch.Clone(), inScale: scales[0], wbits: cfg.WeightBits, abits: cfg.ActBits}
+	m.lower(plan)
 
-	// Walk the layers, emitting ops. sCur is the effective scale of the
-	// current activation grid (nz-substituted at every requant boundary so
-	// it matches the multipliers actually baked in).
-	layers := net.Layers
-	shape := append([]int(nil), net.InShape...)
+	// Fill in each op's tensors. sCur is the effective scale of the current
+	// activation grid (nz-substituted at every requant boundary so it
+	// matches the multipliers actually baked in); sOut is the grid after
+	// the op, past a fused ReLU.
 	sCur := nz(scales[0])
-	for li := 0; li < len(layers); {
-		l := layers[li]
-		outShape := l.OutShape(shape)
-		inVol, outVol := shapeVolume(shape), shapeVolume(outShape)
-		op := int8Op{in: inVol, out: outVol}
-		consumed := 1
-		// ReLU fusion: a ReLU directly after a requantizing compute layer
-		// becomes its epilogue's zero lower clamp.
-		fusable := false
-		switch l.(type) {
-		case *Conv2D, *DepthwiseConv2D, *BatchNorm:
-			fusable = true
-		case *Dense:
-			fusable = li < len(layers)-1
+	for i := range m.ops {
+		op := &m.ops[i]
+		li := op.layer
+		next := li + 1
+		if op.relu {
+			next++
 		}
-		if fusable && isReLUAt(layers, li+1) {
-			op.relu = true
-			consumed = 2
-		}
-
-		switch t := l.(type) {
+		sOut := nz(scales[next])
+		switch t := net.Layers[li].(type) {
 		case *Conv2D:
-			sOut := nz(scales[li+consumed])
-			op.kind = opConv
-			op.inC, op.outC, op.k, op.stride, op.pad = t.InC, t.OutC, t.K, t.Stride, t.Pad
-			op.inH, op.inW = shape[1], shape[2]
-			op.outH, op.outW = outShape[1], outShape[2]
 			op.w = qw[li]
 			op.bias, op.mult, op.shift = foldRequant(sCur, sOut, wsc[li], t.B.Value.Data)
-			sCur = sOut
 		case *DepthwiseConv2D:
-			sOut := nz(scales[li+consumed])
-			op.kind = opDWConv
-			op.inC, op.outC, op.k, op.stride, op.pad = t.C, t.C, t.K, t.Stride, t.Pad
-			op.inH, op.inW = shape[1], shape[2]
-			op.outH, op.outW = outShape[1], outShape[2]
 			op.w = qw[li]
 			op.bias, op.mult, op.shift = foldRequant(sCur, sOut, wsc[li], t.B.Value.Data)
-			sCur = sOut
 		case *Dense:
-			op.inC, op.outC = t.In, t.Out
 			op.w = qw[li]
-			if li == len(layers)-1 {
+			if op.kind == opDenseLogits {
 				// Classifier head: float logits, exact for dead rows
 				// (deq 0 leaves the bias).
-				op.kind = opDenseLogits
 				op.deq = make([]float64, t.Out)
 				for j, ws := range wsc[li] {
 					op.deq[j] = sCur * ws
 				}
 				op.biasF = append([]float64(nil), t.B.Value.Data...)
-			} else {
-				sOut := nz(scales[li+consumed])
-				op.kind = opDense
-				op.bias, op.mult, op.shift = foldRequant(sCur, sOut, wsc[li], t.B.Value.Data)
-				sCur = sOut
+				continue
 			}
-		case *MaxPool2D:
-			// Max commutes with the monotone quantizer: keep the input grid
-			// and skip the requant entirely.
-			op.kind = opMaxPool
-			op.inC, op.outC, op.k = shape[0], shape[0], t.K
-			op.inH, op.inW = shape[1], shape[2]
-			op.outH, op.outW = outShape[1], outShape[2]
+			op.bias, op.mult, op.shift = foldRequant(sCur, sOut, wsc[li], t.B.Value.Data)
 		case *AvgPool2D:
-			sOut := nz(scales[li+consumed])
-			op.kind = opAvgPool
-			op.inC, op.outC, op.k = shape[0], shape[0], t.K
-			op.inH, op.inW = shape[1], shape[2]
-			op.outH, op.outW = outShape[1], outShape[2]
-			mu, sh := compute.QuantizeMultiplier(sCur / (float64(t.K*t.K) * sOut))
+			mu, sh := compute.QuantizeMultiplier(sCur / (float64(op.k*op.k) * sOut))
 			op.mult, op.shift = []int32{mu}, []int32{int32(sh)}
-			sCur = sOut
 		case *BatchNorm:
 			// Integer affine with a post-scale bias: out = clamp(rne(x·M_c)
 			// + qb_c), M_c signed (gamma may be negative).
-			sOut := nz(scales[li+consumed])
-			op.kind = opNorm
-			op.inC, op.outC = t.C, t.C
-			op.inH, op.inW = shape[1], shape[2]
-			op.outH, op.outW = shape[1], shape[2]
 			op.mult = make([]int32, t.C)
 			op.shift = make([]int32, t.C)
 			op.biasPost = make([]int32, t.C)
@@ -357,24 +367,12 @@ func ConvertInt8(arch *Arch, net *Network, calib *tensor.Tensor, cfg PTQConfig) 
 				op.mult[c], op.shift[c] = mu, int32(sh)
 				op.biasPost[c] = roundClampI32(b / sOut)
 			}
-			sCur = sOut
-		case *ReLU:
-			op.kind = opReLU // standalone (not fused): same grid, clamp at 0
-		case *Flatten:
-			// Memory no-op at inference: no op emitted.
-			shape = outShape
-			li += consumed
-			continue
 		default:
-			return nil, fmt.Errorf("nn: int8 lowering: unsupported layer %T", l)
+			// MaxPool commutes with the monotone quantizer and a standalone
+			// ReLU clamps at 0: both keep the input grid, no requant.
+			continue
 		}
-		if op.relu {
-			// The fused ReLU is shape-preserving; out stays outVol.
-			outShape = layers[li+1].OutShape(outShape)
-		}
-		m.ops = append(m.ops, op)
-		shape = outShape
-		li += consumed
+		sCur = sOut
 	}
 	if err := m.finalize(); err != nil {
 		return nil, err
@@ -382,174 +380,50 @@ func ConvertInt8(arch *Arch, net *Network, calib *tensor.Tensor, cfg PTQConfig) 
 	return m, nil
 }
 
-// finalize validates the op program (geometry chain, slice lengths, requant
-// ranges) and computes the executor's per-sample arena high-water marks. It
-// runs after conversion and after decode, doubling as the screening pass
-// for untrusted model files.
+// finalize screens the op tensors against the program lower derived from
+// the architecture: every tensor has the length its op's geometry needs,
+// every requant shift is in range, and the executor's arena stays within
+// budget. It runs after conversion and after decode; a decoded file cannot
+// state a geometry of its own, so this is the whole screen between a file
+// and the executor's unchecked indexing.
 func (m *Int8Model) finalize() error {
-	if len(m.inShape) == 0 || len(m.inShape) > 8 {
-		return fmt.Errorf("nn: int8 model: implausible input rank %d", len(m.inShape))
-	}
-	vol := 1
-	for _, d := range m.inShape {
-		if d < 1 || d > 1<<16 {
-			return fmt.Errorf("nn: int8 model: implausible input dim %d", d)
-		}
-		vol *= d
-		if vol > 1<<24 {
-			return fmt.Errorf("nn: int8 model: implausible input volume")
-		}
-	}
-	if m.classes < 2 || m.classes > 1<<16 {
-		return fmt.Errorf("nn: int8 model: implausible class count %d", m.classes)
-	}
 	if m.wbits < 2 || m.wbits > 8 || m.abits < 2 || m.abits > 8 {
 		return fmt.Errorf("nn: int8 model: bit widths (%d,%d) outside [2,8]", m.wbits, m.abits)
-	}
-	if len(m.ops) == 0 || len(m.ops) > 1024 {
-		return fmt.Errorf("nn: int8 model: implausible op count %d", len(m.ops))
 	}
 	if !(m.inScale >= 0) || math.IsInf(m.inScale, 0) {
 		return fmt.Errorf("nn: int8 model: invalid input scale %v", m.inScale)
 	}
-	m.maxAct, m.maxAcc, m.maxCols = vol, 0, 0
-	cur := vol
-	checkRequant := func(op *int8Op, wantLen int) error {
-		if len(op.mult) != wantLen && len(op.mult) != 1 {
-			return fmt.Errorf("nn: int8 model: %d requant multipliers, want %d or 1", len(op.mult), wantLen)
-		}
-		if len(op.shift) != len(op.mult) {
-			return fmt.Errorf("nn: int8 model: mult/shift length mismatch")
-		}
-		for _, s := range op.shift {
-			if s < -31 || s > 62 {
-				return fmt.Errorf("nn: int8 model: requant shift %d outside [-31,62]", s)
-			}
-		}
-		return nil
+	// The im2col volume never exceeds the conv's MACs, so 2^25 clears
+	// every model within the 30 M MAC budget.
+	if m.maxAct > 1<<24 || m.maxCols > 1<<25 {
+		return fmt.Errorf("nn: int8 model: implausible activation volume %d or im2col volume %d", m.maxAct, m.maxCols)
 	}
 	for i := range m.ops {
 		op := &m.ops[i]
-		if op.kind < 0 || op.kind >= numInt8Ops {
-			return fmt.Errorf("nn: int8 model: op %d: unknown kind %d", i, op.kind)
-		}
-		if op.in != cur {
-			return fmt.Errorf("nn: int8 model: op %d: input volume %d, chain carries %d", i, op.in, cur)
-		}
-		for _, d := range []int{op.inC, op.outC, op.k, op.stride, op.inH, op.inW, op.outH, op.outW} {
-			if d < 0 || d > 1<<16 {
-				return fmt.Errorf("nn: int8 model: op %d: implausible geometry %d", i, d)
-			}
-		}
-		// A kernel cap keeps the weight-length and im2col products below
-		// int overflow, so a crafted file cannot match an empty weight
-		// slice to a wrapped length.
-		if op.k > 1<<8 {
-			return fmt.Errorf("nn: int8 model: op %d: implausible kernel %d", i, op.k)
-		}
-		if op.out < 1 || op.out > 1<<24 || op.in < 1 {
-			return fmt.Errorf("nn: int8 model: op %d: implausible volume", i)
-		}
+		var w, bias, requant, post, head int // required tensor lengths
 		switch op.kind {
 		case opConv:
-			if op.in != op.inC*op.inH*op.inW || op.out != op.outC*op.outH*op.outW {
-				return fmt.Errorf("nn: int8 model: op %d: conv geometry/volume mismatch", i)
-			}
-			if op.k < 1 || op.stride < 1 || op.pad < 0 ||
-				op.outH != convOutDim(op.inH, op.k, op.stride, op.pad) ||
-				op.outW != convOutDim(op.inW, op.k, op.stride, op.pad) {
-				return fmt.Errorf("nn: int8 model: op %d: bad conv spatial geometry", i)
-			}
-			if len(op.w) != op.outC*op.inC*op.k*op.k || len(op.bias) != op.outC {
-				return fmt.Errorf("nn: int8 model: op %d: conv weight/bias length mismatch", i)
-			}
-			if err := checkRequant(op, op.outC); err != nil {
-				return err
-			}
-			// The im2col volume never exceeds the conv's MACs, so 2^25
-			// clears every model within the 30 M MAC budget.
-			cols := op.inC * op.k * op.k * op.outH * op.outW
-			if cols > 1<<25 {
-				return fmt.Errorf("nn: int8 model: op %d: implausible im2col volume %d", i, cols)
-			}
-			if cols > m.maxCols {
-				m.maxCols = cols
-			}
-			if op.out > m.maxAcc {
-				m.maxAcc = op.out
-			}
+			w, bias, requant = op.outC*op.inC*op.k*op.k, op.outC, op.outC
 		case opDWConv:
-			if op.inC != op.outC || op.in != op.inC*op.inH*op.inW || op.out != op.outC*op.outH*op.outW {
-				return fmt.Errorf("nn: int8 model: op %d: dwconv geometry/volume mismatch", i)
-			}
-			if op.k < 1 || op.stride < 1 || op.pad < 0 ||
-				op.outH != convOutDim(op.inH, op.k, op.stride, op.pad) ||
-				op.outW != convOutDim(op.inW, op.k, op.stride, op.pad) {
-				return fmt.Errorf("nn: int8 model: op %d: bad dwconv spatial geometry", i)
-			}
-			if len(op.w) != op.inC*op.k*op.k || len(op.bias) != op.inC {
-				return fmt.Errorf("nn: int8 model: op %d: dwconv weight/bias length mismatch", i)
-			}
-			if err := checkRequant(op, op.inC); err != nil {
-				return err
-			}
+			w, bias, requant = op.inC*op.k*op.k, op.inC, op.inC
 		case opDense:
-			if op.in != op.inC || op.out != op.outC || len(op.w) != op.outC*op.inC || len(op.bias) != op.outC {
-				return fmt.Errorf("nn: int8 model: op %d: dense geometry mismatch", i)
-			}
-			if err := checkRequant(op, op.outC); err != nil {
-				return err
-			}
+			w, bias, requant = op.outC*op.inC, op.outC, op.outC
 		case opDenseLogits:
-			if op.in != op.inC || op.out != op.outC || op.outC != m.classes ||
-				len(op.w) != op.outC*op.inC || len(op.deq) != op.outC || len(op.biasF) != op.outC {
-				return fmt.Errorf("nn: int8 model: op %d: logits head geometry mismatch", i)
-			}
-			if i != len(m.ops)-1 {
-				return fmt.Errorf("nn: int8 model: op %d: logits head before the end", i)
-			}
-		case opMaxPool:
-			if op.inC != op.outC || op.k < 1 ||
-				op.outH != op.inH/op.k || op.outW != op.inW/op.k ||
-				op.in != op.inC*op.inH*op.inW || op.out != op.outC*op.outH*op.outW {
-				return fmt.Errorf("nn: int8 model: op %d: maxpool geometry mismatch", i)
-			}
+			w, head = op.outC*op.inC, op.outC
 		case opAvgPool:
-			if op.inC != op.outC || op.k < 1 ||
-				op.outH != op.inH/op.k || op.outW != op.inW/op.k ||
-				op.in != op.inC*op.inH*op.inW || op.out != op.outC*op.outH*op.outW {
-				return fmt.Errorf("nn: int8 model: op %d: avgpool geometry mismatch", i)
-			}
-			if err := checkRequant(op, 1); err != nil {
-				return err
-			}
-		case opReLU:
-			if op.in != op.out {
-				return fmt.Errorf("nn: int8 model: op %d: relu must preserve volume", i)
-			}
+			requant = 1
 		case opNorm:
-			if op.inC != op.outC || op.in != op.out ||
-				len(op.biasPost) != op.inC {
-				return fmt.Errorf("nn: int8 model: op %d: norm geometry mismatch", i)
-			}
-			if op.inH*op.inW < 1 || op.in != op.inC*op.inH*op.inW {
-				return fmt.Errorf("nn: int8 model: op %d: norm plane mismatch", i)
-			}
-			if err := checkRequant(op, op.inC); err != nil {
-				return err
+			requant, post = op.inC, op.inC
+		}
+		if len(op.w) != w || len(op.bias) != bias || len(op.mult) != requant || len(op.shift) != requant ||
+			len(op.biasPost) != post || len(op.deq) != head || len(op.biasF) != head {
+			return fmt.Errorf("nn: int8 model: op %d: tensor lengths do not match layer %d of the architecture", i, op.layer)
+		}
+		for _, s := range op.shift {
+			if s < -31 || s > 62 {
+				return fmt.Errorf("nn: int8 model: op %d: requant shift %d outside [-31,62]", i, s)
 			}
 		}
-		if op.in > m.maxAct {
-			m.maxAct = op.in
-		}
-		if op.out > m.maxAct {
-			m.maxAct = op.out
-		}
-		cur = op.out
-	}
-	last := &m.ops[len(m.ops)-1]
-	if last.kind != opDenseLogits {
-		return fmt.Errorf("nn: int8 model: program must end in a logits head")
 	}
 	return nil
 }
@@ -577,7 +451,7 @@ func (m *Int8Model) Accuracy(ctx *compute.Context, inputs *tensor.Tensor, labels
 		}
 		bs := end - start
 		logits := ex.Forward(inputs.Data[start*sample:end*sample], bs)
-		k := m.classes
+		k := m.Classes()
 		for i := 0; i < bs; i++ {
 			best, bi := math.Inf(-1), 0
 			for j := 0; j < k; j++ {
@@ -596,8 +470,10 @@ func (m *Int8Model) Accuracy(ctx *compute.Context, inputs *tensor.Tensor, labels
 // ---- codec ----------------------------------------------------------------
 
 // int8ModelVersion is the int8 payload layout version inside the SOLARMDL
-// container (the container carries its own envelope version).
-const int8ModelVersion = 1
+// container (the container carries its own envelope version). Version 1
+// stored each op's kind, fused-ReLU flag and geometry next to its tensors;
+// version 2 stores the architecture instead and re-derives the program.
+const int8ModelVersion = 2
 
 func appendI32s(b []byte, v []int32) []byte {
 	b = bytecodec.AppendUvarint(b, uint64(len(v)))
@@ -671,34 +547,19 @@ func readI8s(r *bytecodec.Reader) []int8 {
 	return out
 }
 
-// appendInt8Model serializes the model (bytecodec varint layout; the
-// container adds magic/version/CRC around it).
-func appendInt8Model(b []byte, m *Int8Model) ([]byte, error) {
-	if err := m.finalize(); err != nil {
-		return nil, fmt.Errorf("nn: refusing to serialize invalid int8 model: %w", err)
-	}
+// appendInt8Model encodes the int8 payload (the container adds
+// magic/version/CRC around it): the version, the architecture (AppendArch),
+// the input scale, the bit widths, then each op's tensors in program order.
+// The ops themselves are not stored: the reader lowers the architecture's
+// plan again.
+func appendInt8Model(b []byte, m *Int8Model) []byte {
 	b = bytecodec.AppendUvarint(b, int8ModelVersion)
-	b = bytecodec.AppendUvarint(b, uint64(len(m.inShape)))
-	for _, d := range m.inShape {
-		b = bytecodec.AppendUvarint(b, uint64(d))
-	}
-	b = bytecodec.AppendUvarint(b, uint64(m.classes))
+	b = AppendArch(b, m.arch)
 	b = bytecodec.AppendF64(b, m.inScale)
 	b = bytecodec.AppendUvarint(b, uint64(m.wbits))
 	b = bytecodec.AppendUvarint(b, uint64(m.abits))
-	b = bytecodec.AppendString(b, m.arch)
-	b = bytecodec.AppendUvarint(b, uint64(len(m.ops)))
 	for i := range m.ops {
 		op := &m.ops[i]
-		b = bytecodec.AppendUvarint(b, uint64(op.kind))
-		relu := uint64(0)
-		if op.relu {
-			relu = 1
-		}
-		b = bytecodec.AppendUvarint(b, relu)
-		for _, d := range []int{op.inC, op.outC, op.k, op.stride, op.pad, op.inH, op.inW, op.outH, op.outW, op.in, op.out} {
-			b = bytecodec.AppendUvarint(b, uint64(d))
-		}
 		b = appendI8s(b, op.w)
 		b = appendI32s(b, op.bias)
 		b = appendI32s(b, op.mult)
@@ -707,10 +568,12 @@ func appendInt8Model(b []byte, m *Int8Model) ([]byte, error) {
 		b = appendF64s(b, op.deq)
 		b = appendF64s(b, op.biasF)
 	}
-	return b, nil
+	return b
 }
 
-// readInt8Model decodes and validates an int8 model payload.
+// readInt8Model decodes and validates an int8 payload. The architecture is
+// screened and planned before any tensor is read, and the op program comes
+// from the plan alone.
 func readInt8Model(payload []byte) (*Int8Model, error) {
 	r := bytecodec.NewReader(payload)
 	ver := r.Uvarint()
@@ -718,40 +581,23 @@ func readInt8Model(payload []byte) (*Int8Model, error) {
 		return nil, fmt.Errorf("nn: int8 model header: %w", err)
 	}
 	if ver != int8ModelVersion {
-		return nil, fmt.Errorf("nn: int8 model payload version %d; this build reads version %d", ver, int8ModelVersion)
+		return nil, fmt.Errorf("nn: int8 model payload version %d; this build reads version %d (re-export the model with a matching cmd/deploy -qout)", ver, int8ModelVersion)
 	}
-	m := &Int8Model{}
-	rank := r.Uvarint()
-	if rank > 8 {
-		return nil, fmt.Errorf("nn: int8 model: implausible input rank %d", rank)
+	arch, err := ReadArch(r)
+	if err != nil {
+		return nil, fmt.Errorf("nn: int8 model architecture: %w", err)
 	}
-	for i := uint64(0); i < rank; i++ {
-		m.inShape = append(m.inShape, int(r.Uvarint()))
+	if err := screenArch(arch); err != nil {
+		return nil, err
 	}
-	m.classes = int(r.Uvarint())
-	m.inScale = r.F64()
-	m.wbits = int(r.Uvarint())
-	m.abits = int(r.Uvarint())
-	m.arch = r.String()
-	nOps := r.Uvarint()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("nn: int8 model header: %w", err)
+	plan, err := Plan(arch)
+	if err != nil {
+		return nil, fmt.Errorf("nn: screening architecture: %w", err)
 	}
-	if nOps > 1024 {
-		return nil, fmt.Errorf("nn: int8 model: implausible op count %d", nOps)
-	}
-	for i := uint64(0); i < nOps; i++ {
-		var op int8Op
-		op.kind = int8OpKind(r.Uvarint())
-		op.relu = r.Uvarint() != 0
-		geo := []*int{&op.inC, &op.outC, &op.k, &op.stride, &op.pad, &op.inH, &op.inW, &op.outH, &op.outW, &op.in, &op.out}
-		for _, g := range geo {
-			v := r.Uvarint()
-			if v > 1<<24 {
-				return nil, fmt.Errorf("nn: int8 model: op %d: implausible geometry %d", i, v)
-			}
-			*g = int(v)
-		}
+	m := &Int8Model{arch: arch, inScale: r.F64(), wbits: int(r.Uvarint()), abits: int(r.Uvarint())}
+	m.lower(plan)
+	for i := range m.ops {
+		op := &m.ops[i]
 		op.w = readI8s(r)
 		op.bias = readI32s(r)
 		op.mult = readI32s(r)
@@ -762,7 +608,6 @@ func readInt8Model(payload []byte) (*Int8Model, error) {
 		if err := r.Err(); err != nil {
 			return nil, fmt.Errorf("nn: int8 model op %d: %w", i, err)
 		}
-		m.ops = append(m.ops, op)
 	}
 	if r.Len() != 0 {
 		return nil, fmt.Errorf("nn: int8 model: %d trailing bytes", r.Len())

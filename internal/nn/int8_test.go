@@ -6,9 +6,11 @@ import (
 	"hash/crc32"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
+	"solarml/internal/bytecodec"
 	"solarml/internal/compute"
 	"solarml/internal/tensor"
 )
@@ -165,12 +167,10 @@ func TestInt8DeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestInt8CoversAllOps lowers an architecture exercising every op kind
-// (dwconv, norm, avgpool, standalone relu included) and checks the int8
-// accuracy stays near float.
-func TestInt8CoversAllOps(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	arch := &Arch{
+// allOpsArch lowers to every int8 op kind (dwconv, norm, avgpool,
+// standalone relu included).
+func allOpsArch() *Arch {
+	return &Arch{
 		Input: []int{2, 8, 16},
 		Body: []LayerSpec{
 			{Kind: KindConv, Out: 4, K: 3, Stride: 1, Pad: 1},
@@ -186,6 +186,13 @@ func TestInt8CoversAllOps(t *testing.T) {
 		},
 		Classes: 3,
 	}
+}
+
+// trainedAllOpsNet trains allOpsArch on a seeded synthetic task.
+func trainedAllOpsNet(t testing.TB) (*Arch, *Network, *tensor.Tensor, []int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(61))
+	arch := allOpsArch()
 	const n = 90
 	x := tensor.New(n, 2, 8, 16)
 	y := make([]int, n)
@@ -210,6 +217,13 @@ func TestInt8CoversAllOps(t *testing.T) {
 	}
 	net.Init(rng)
 	net.Fit(x, y, TrainConfig{Epochs: 20, BatchSize: 16, LR: 0.05, Momentum: 0.9, Seed: 4})
+	return arch, net, x, y
+}
+
+// TestInt8CoversAllOps lowers an architecture exercising every op kind
+// and checks the int8 accuracy stays near float.
+func TestInt8CoversAllOps(t *testing.T) {
+	arch, net, x, y := trainedAllOpsNet(t)
 	floatAcc := net.Accuracy(x, y)
 	if floatAcc < 0.8 {
 		t.Fatalf("float model failed to train: %.2f", floatAcc)
@@ -263,34 +277,100 @@ func TestConvertInt8Validation(t *testing.T) {
 	}
 }
 
-// TestInt8FinalizeBoundsScratch feeds finalize two crafted programs that
-// are consistent op by op yet would make the executor allocate terabytes:
-// a 65536-wide kernel whose weight-length product wraps to zero (so an
-// empty weight slice matches it), and a 256-wide kernel over a 4095×4095
-// output whose im2col volume is ~2^40. Both must be rejected at load.
-func TestInt8FinalizeBoundsScratch(t *testing.T) {
-	logits := func(in int) int8Op {
-		return int8Op{kind: opDenseLogits, inC: in, outC: 2, in: in, out: 2,
-			w: make([]int8, 2*in), deq: []float64{1, 1}, biasF: []float64{0, 0}}
-	}
-	wrapped := &Int8Model{inShape: []int{1 << 16, 1, 1}, classes: 2, wbits: 8, abits: 8, ops: []int8Op{
-		{kind: opConv, inC: 1 << 16, outC: 1 << 16, k: 1 << 16, stride: 2, pad: 1 << 15,
-			inH: 1, inW: 1, outH: 1, outW: 1, in: 1 << 16, out: 1 << 16,
-			bias: make([]int32, 1<<16), mult: []int32{1}, shift: []int32{0}},
-		logits(1 << 16),
-	}}
-	im2col := &Int8Model{inShape: []int{1, 4096, 4096}, classes: 2, wbits: 8, abits: 8, ops: []int8Op{
-		{kind: opConv, inC: 1, outC: 1, k: 256, stride: 1, pad: 127,
-			inH: 4096, inW: 4096, outH: 4095, outW: 4095, in: 4096 * 4096, out: 4095 * 4095,
-			w: make([]int8, 256*256), bias: []int32{0}, mult: []int32{1}, shift: []int32{0}},
-		{kind: opMaxPool, inC: 1, outC: 1, k: 256, inH: 4095, inW: 4095, outH: 15, outW: 15,
-			in: 4095 * 4095, out: 225},
-		logits(225),
-	}}
-	for name, m := range map[string]*Int8Model{"wrapped kernel": wrapped, "im2col volume": im2col} {
-		if err := m.finalize(); err == nil {
-			t.Errorf("%s: accepted (maxCols %d)", name, m.maxCols)
+// TestConvertInt8RejectsForeignNet pins that the lowering reads the
+// network by plan index only when the network was built from the arch: a
+// different layer count or a different layer kind is an error, not a
+// mislabeled model.
+func TestConvertInt8RejectsForeignNet(t *testing.T) {
+	arch, net, x, _ := trainedGestureCNN(t)
+	swapped := arch.Clone()
+	swapped.Body[0] = LayerSpec{Kind: KindDWConv, K: 3, Stride: 1, Pad: 1}
+	for name, a := range map[string]*Arch{"all-ops arch": allOpsArch(), "kind swapped": swapped} {
+		m, err := ConvertInt8(a, net, x, PTQConfig{WeightBits: 8, ActBits: 8})
+		if err == nil {
+			t.Errorf("%s: lowered the gesture net as %s", name, m.ArchString())
+		} else if !strings.Contains(err.Error(), "not built from") {
+			t.Errorf("%s: want a not-built-from error, got %v", name, err)
 		}
+	}
+}
+
+// int8Payload encodes a current-version int8 payload for arch whose ops
+// carry zero-filled tensors of the given lengths, one row per op in
+// program order: w, bias, mult, shift, biasPost, deq, biasF.
+func int8Payload(arch *Arch, ops ...[7]int) []byte {
+	b := bytecodec.AppendUvarint(nil, int8ModelVersion)
+	b = AppendArch(b, arch)
+	b = bytecodec.AppendF64(b, 1)
+	b = bytecodec.AppendUvarint(b, 8)
+	b = bytecodec.AppendUvarint(b, 8)
+	for _, n := range ops {
+		b = appendI8s(b, make([]int8, n[0]))
+		for _, k := range n[1:5] {
+			b = appendI32s(b, make([]int32, k))
+		}
+		for _, k := range n[5:] {
+			b = appendF64s(b, make([]float64, k))
+		}
+	}
+	return b
+}
+
+// TestLoadInt8BoundsScratch feeds the decoder crafted architectures whose
+// programs would make the executor index past its tensors or allocate
+// terabytes: a 65536-wide kernel whose weight product wraps a 64-bit int
+// (so an empty weight slice would match it), a 256-wide kernel over a
+// 4096×4096 input whose im2col volume is ~2^40, and a Norm carrying one
+// broadcast multiplier for two channels. All must be rejected at load; a
+// well-formed payload from the same encoder must load and run.
+func TestLoadInt8BoundsScratch(t *testing.T) {
+	head := func(in int) [7]int { return [7]int{2 * in, 0, 0, 0, 0, 2, 2} }
+	norm := &Arch{Input: []int{2, 2, 2}, Body: []LayerSpec{{Kind: KindNorm}}, Classes: 2}
+	for _, c := range []struct {
+		name, want string
+		payload    []byte
+	}{
+		{"wrapped kernel", "2^40", int8Payload(&Arch{Input: []int{1 << 16, 1, 1}, Body: []LayerSpec{
+			{Kind: KindConv, Out: 1 << 16, K: 1 << 16, Stride: 2, Pad: 1 << 15},
+		}, Classes: 2}, [7]int{0, 1 << 16, 1, 1}, head(1<<16))},
+		{"im2col volume", "im2col", int8Payload(&Arch{Input: []int{1, 4096, 4096}, Body: []LayerSpec{
+			{Kind: KindConv, Out: 1, K: 256, Stride: 1, Pad: 127},
+			{Kind: KindMaxPool, K: 256},
+		}, Classes: 2}, [7]int{256 * 256, 1, 1, 1}, [7]int{}, head(225))},
+		{"norm broadcast multiplier", "tensor lengths", int8Payload(norm, [7]int{0, 0, 1, 1, 2}, head(8))},
+	} {
+		if _, err := readInt8Model(c.payload); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: want an error mentioning %q, got %v", c.name, c.want, err)
+		}
+	}
+	m, err := readInt8Model(int8Payload(norm, [7]int{0, 0, 2, 2, 2}, head(8)))
+	if err != nil {
+		t.Fatalf("well-formed payload rejected: %v", err)
+	}
+	m.NewExecutor(nil, 1).Forward(make([]float64, m.InVol()), 1)
+}
+
+// TestLoadRejectsInt8V1Payload feeds a container holding a version-1 int8
+// payload, which stored per-op geometry instead of the architecture: it
+// must fail with the re-export error, not be misparsed as the current
+// layout.
+func TestLoadRejectsInt8V1Payload(t *testing.T) {
+	b := bytecodec.AppendUvarint(nil, 1)  // version
+	for _, v := range []uint64{1, 4, 2} { // rank, dim, classes
+		b = bytecodec.AppendUvarint(b, v)
+	}
+	b = bytecodec.AppendF64(b, 1) // input scale
+	b = bytecodec.AppendUvarint(b, 8)
+	b = bytecodec.AppendUvarint(b, 8)
+	b = bytecodec.AppendString(b, "In[4]→Head(2)")
+	b = bytecodec.AppendUvarint(b, 0) // ops
+	var buf bytes.Buffer
+	if err := writeContainer(&buf, payloadInt8, b); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadInt8Model(&buf)
+	if err == nil || !strings.Contains(err.Error(), "re-export") {
+		t.Fatalf("version-1 int8 payload must fail with a re-export error, got %v", err)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 
 // inferArena is the preallocated buffer set of one executor. Unlike the
 // training Arena it is not keyed or zero-filled per acquire: the op
-// program's volume chain (validated by finalize) guarantees every op writes
+// program's volume chain (lowered from the plan) guarantees every op writes
 // the exact region the next op reads, and the only buffer needing a clear
 // (im2col padding) is cleared by the conv kernel itself.
 type inferArena struct {
@@ -74,15 +74,9 @@ func (m *Int8Model) NewExecutor(ctx *compute.Context, maxBatch int) *Int8Executo
 		e.arena.cols = make([]int8, maxBatch*m.maxCols)
 		e.arena.acc = make([]int32, maxBatch*m.maxAcc)
 	}
-	e.arena.logits = make([]float64, maxBatch*m.classes)
+	e.arena.logits = make([]float64, maxBatch*m.Classes())
 	return e
 }
-
-// MaxBatch returns the executor's batch capacity.
-func (e *Int8Executor) MaxBatch() int { return e.maxBatch }
-
-// Model returns the executor's (shared, immutable) model.
-func (e *Int8Executor) Model() *Int8Model { return e.m }
 
 // lowClamp returns the saturation floor for an op: zero with a fused ReLU,
 // symmetric −hi otherwise.
@@ -124,9 +118,9 @@ func (e *Int8Executor) Forward(x []float64, n int) []float64 {
 			e.dense.Run(e.ctx, nxt[:n*op.out], src, op.w, op.bias, op.mult, op.shift,
 				n, op.inC, op.outC, e.lowClamp(op), e.hi)
 		case opDenseLogits:
-			e.dense.RunLogits(e.ctx, e.arena.logits[:n*m.classes], src, op.w,
+			e.dense.RunLogits(e.ctx, e.arena.logits[:n*m.Classes()], src, op.w,
 				op.biasF, op.deq, n, op.inC, op.outC)
-			return e.arena.logits[:n*m.classes]
+			return e.arena.logits[:n*m.Classes()]
 		case opMaxPool:
 			// Method values are taken inside the nil check only: binding
 			// e.maxPoolBlocks at a call site would allocate the closure on
@@ -157,7 +151,7 @@ func (e *Int8Executor) Forward(x []float64, n int) []float64 {
 		}
 		cur, nxt = nxt, cur
 	}
-	panic("nn: int8 program did not end in a logits head") // finalize forbids this
+	panic("nn: int8 program did not end in a logits head") // lower always ends in one
 }
 
 func (e *Int8Executor) maxPoolBlocks(b0, b1 int) {

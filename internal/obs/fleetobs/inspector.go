@@ -25,10 +25,10 @@ type WorkerStatus struct {
 type Status struct {
 	// Units names what is being counted: "devices" for fleet runs,
 	// "cycles" for island searches.
-	Units    string `json:"units"`
-	Total    int64  `json:"total"`
-	Done     int64  `json:"done"`
-	Finished bool   `json:"finished"`
+	Units    string  `json:"units"`
+	Total    int64   `json:"total"`
+	Done     int64   `json:"done"`
+	Finished bool    `json:"finished"`
 	ElapsedS float64 `json:"elapsed_s"`
 	// RatePerSec is completed units per wall-clock second.
 	RatePerSec float64 `json:"rate_per_sec"`
@@ -37,8 +37,8 @@ type Status struct {
 	UnitYearsPerSec float64 `json:"unit_years_per_sec"`
 	// EtaS estimates the remaining wall-clock seconds at the current rate
 	// (0 until the first unit completes, and once finished).
-	EtaS    float64            `json:"eta_s"`
-	Workers []WorkerStatus     `json:"workers"`
+	EtaS    float64        `json:"eta_s"`
+	Workers []WorkerStatus `json:"workers"`
 	// Accounts carries the run's joule-ledger account totals when an
 	// accounts source is attached.
 	Accounts map[string]float64 `json:"accounts,omitempty"`
@@ -71,8 +71,8 @@ type Inspector struct {
 	lastNano atomic.Int64 // unix-nano of the last ring sample
 	gapNano  atomic.Int64 // current ring gap, mirrored for the hot-path check
 
-	accounts atomic.Pointer[func() map[string]float64]
-	finished atomic.Bool
+	accounts   atomic.Pointer[func() map[string]float64]
+	finished   atomic.Bool
 	finishNano atomic.Int64
 }
 

@@ -43,7 +43,7 @@ func ReadCSV(rd io.Reader) (*Recorder, error) {
 	if len(rows) < 2 {
 		return nil, fmt.Errorf("powertrace: CSV has no samples")
 	}
-	if rows[0][0] != "t_s" || rows[0][1] != "power_w" {
+	if len(rows[0]) != 2 || rows[0][0] != "t_s" || rows[0][1] != "power_w" {
 		return nil, fmt.Errorf("powertrace: unexpected header %v", rows[0])
 	}
 	var times, powers []float64

@@ -130,9 +130,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Model returns the served (immutable) model.
-func (s *Server) Model() *nn.Int8Model { return s.cfg.Model }
-
 // Classify runs one sample (InVol floats) through the batcher and returns
 // its argmax class and logits. It blocks until a worker has run the sample,
 // so concurrent callers coalesce into shared batches.
@@ -270,12 +267,16 @@ func (s *Server) runBatch(ex *nn.Int8Executor, staging []float64, batch []*reque
 				r.cls = j
 			}
 		}
-		close(r.done)
 	}
 	s.batches.Inc()
 	s.batchSize.Observe(float64(n))
 	s.batchSeconds.Observe(time.Since(start).Seconds())
 	sp.End()
+	// Release the waiters only once the batch is recorded, so a caller
+	// returning from Classify already sees its batch in the serve.* metrics.
+	for _, r := range batch {
+		close(r.done)
+	}
 }
 
 // classifyRequest is the POST /classify body.
